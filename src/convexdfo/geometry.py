@@ -2,10 +2,14 @@
 
 A region is a closed convex set with nonempty interior, given either in a
 form with an analytic projection (whole space, box, ball, single halfspace)
-or as an intersection of such pieces, projected onto iteratively with
-Dykstra's alternating scheme.  Every solver-facing feasible set in this
-package is of the form ``C`` or ``C`` intersected with a trust-region ball,
-so those two projections are the workhorses here.
+or as an intersection of such pieces.  Every solver-facing feasible set in
+this package is ``C`` or ``C`` intersected with a trust-region ball, and
+both go through one route, :func:`_route`.  On whole space the ball's
+closed form applies.  When the pieces reduce to one analytic piece plus
+one ball, that piece's :meth:`ConvexRegion.project_in_ball` answers
+exactly: a sorted-breakpoint root search for boxes, and the nearest point
+of the two boundaries' common sphere for balls and single halfspaces.
+Anything else is projected onto with Dykstra's alternating scheme.
 
 All projection routines accept a single point of shape ``(n,)`` or a batch
 of shape ``(m, n)``; batches are projected row by row in vectorized form.
@@ -31,6 +35,7 @@ __all__ = [
     "project",
     "contains",
     "project_onto_ball_intersection",
+    "shrink_into",
     "parse_region",
     "membership_tolerance",
 ]
@@ -86,20 +91,33 @@ class ConvexRegion:
         if self.dimension < 1:
             raise ValueError("region dimension must be positive")
 
-    # Subclasses with closed-form projections override this.
-    has_analytic_projection = False
-
     def project_exact(self, ys):
         """Analytic projection of a batch ``(m, n)``; only if available."""
         raise NotImplementedError
 
+    def project_in_ball(self, ys, ball):
+        """Exact projection of each row onto this analytic piece ∩ ``ball``.
+
+        The two exact shortcuts first, then :meth:`_both_active` for the
+        rows at which both constraints bind.
+        """
+        out, rest = _shortcuts(self.project_exact(ys), self, ball, ys)
+        if rest.size:
+            out[rest] = self._both_active(ys[rest], ball)
+        return out
+
     def is_member(self, y):
-        """Exact membership (no tolerance) for a single point."""
-        raise NotImplementedError
+        """Exact membership (no tolerance) for a single point.
+
+        Decided by :meth:`is_member_batch` on a batch of one, so the two
+        agree to the last bit.
+        """
+        self._check_dim(y)
+        return bool(self.is_member_batch(np.asarray(y, dtype=float)[None, :])[0])
 
     def is_member_batch(self, ys):
-        ys = np.asarray(ys, dtype=float)
-        return np.array([self.is_member(y) for y in ys], dtype=bool)
+        """Exact membership of each row of a batch ``(m, n)``."""
+        raise NotImplementedError
 
     def distance(self, y):
         """Euclidean distance from ``y`` to the region."""
@@ -121,21 +139,11 @@ class ConvexRegion:
 class WholeSpace(ConvexRegion):
     """All of R^n (the unconstrained case)."""
 
-    has_analytic_projection = True
-
     def project_exact(self, ys):
         return np.array(ys, dtype=float)
 
-    def is_member(self, y):
-        self._check_dim(y)
-        return True
-
     def is_member_batch(self, ys):
         return np.ones(len(ys), dtype=bool)
-
-    def distance(self, y):
-        self._check_dim(y)
-        return 0.0
 
     def dykstra_pieces(self):
         return []
@@ -146,8 +154,6 @@ class WholeSpace(ConvexRegion):
 
 class Box(ConvexRegion):
     """Axis-aligned box ``lower <= x <= upper`` (componentwise)."""
-
-    has_analytic_projection = True
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
@@ -165,9 +171,56 @@ class Box(ConvexRegion):
     def project_exact(self, ys):
         return np.clip(ys, self.lower, self.upper)
 
-    def is_member(self, y):
-        self._check_dim(y)
-        return bool(np.all(y >= self.lower) and np.all(y <= self.upper))
+    def _both_active(self, ys, ball):
+        # The projection is clip(c + s (y - c)) for the s in (0, 1) at which
+        # it meets the sphere.  Per coordinate, clip(c + s d) - c equals
+        # clip(s d, lo, hi): constant, then s d, then constant, so
+        # phi(s) = ||clip(s d, lo, hi)||^2 is nondecreasing and equals
+        # s^2 A + K between consecutive breakpoints.  Sorting the breakpoints
+        # locates the root exactly (Helgason, Kennington & Lall, 1980).
+        c, r = ball.center, ball.radius
+        gap = self.distance(c)
+        if gap >= r:
+            raise ProjectionError(
+                "ball center too far from the box; intersection empty or degenerate",
+                gap - r,
+            )
+        m = len(ys)
+        d = ys - c
+        lo, hi = self.lower - c, self.upper - c
+        moving = d != 0.0
+        t_lo, t_hi = lo / np.where(moving, d, 1.0), hi / np.where(moving, d, 1.0)
+        enter = np.where(moving, np.minimum(t_lo, t_hi), -np.inf)
+        leave = np.where(moving, np.maximum(t_lo, t_hi), -np.inf)
+        dd = d * d
+        # State at s = 0+: K0 = dist(c, box)^2, A0 sums the linear coordinates.
+        a0 = np.sum(np.where((enter <= 0.0) & (leave > 0.0), dd, 0.0), axis=1)
+        k0 = float(np.sum(np.clip(0.0, lo, hi) ** 2))
+        # Breakpoints after 0 with their changes to (A, K): entering the
+        # linear stretch from the near bound, leaving it at the far bound.
+        times = np.concatenate(
+            [np.where(enter > 0.0, enter, np.inf), np.where(leave > 0.0, leave, np.inf)], axis=1
+        )
+        order = np.argsort(times, axis=1)
+        dA = np.take_along_axis(np.concatenate([dd, -dd], axis=1), order, axis=1)
+        dK = np.take_along_axis(
+            np.concatenate([-np.where(d > 0, lo, hi) ** 2, np.where(d > 0, hi, lo) ** 2], axis=1),
+            order, axis=1,
+        )
+        t = np.minimum(np.take_along_axis(times, order, axis=1), 1.0)
+        A = np.cumsum(np.concatenate([a0[:, None], dA], axis=1), axis=1)
+        K = np.cumsum(np.concatenate([np.full((m, 1), k0), dK], axis=1), axis=1)
+        j = np.sum((t < 1.0) & (t * t * A[:, :-1] + K[:, :-1] < r * r), axis=1)[:, None]
+        stops = np.concatenate([np.zeros((m, 1)), t, np.ones((m, 1))], axis=1)
+        first = np.take_along_axis(stops, j, axis=1)
+        last = np.take_along_axis(stops, j + 1, axis=1)
+        # A and K afresh on the root's stretch, free of the running sums' cancellation.
+        g = np.clip(0.5 * (first + last) * d, lo, hi)
+        linear = (g > lo) & (g < hi)
+        a = np.sum(np.where(linear, dd, 0.0), axis=1, keepdims=True)
+        k = np.sum(np.where(linear, 0.0, g * g), axis=1, keepdims=True)
+        s = np.sqrt(np.maximum(r * r - k, 0.0) / np.where(a > 0.0, a, 1.0))
+        return np.clip(c + np.clip(s, first, last) * d, self.lower, self.upper)
 
     def is_member_batch(self, ys):
         return np.all((ys >= self.lower) & (ys <= self.upper), axis=1)
@@ -183,8 +236,6 @@ class Box(ConvexRegion):
 
 class Ball(ConvexRegion):
     """Euclidean ball of given center and (positive) radius."""
-
-    has_analytic_projection = True
 
     def __init__(self, center, radius):
         center = np.asarray(center, dtype=float)
@@ -205,9 +256,19 @@ class Ball(ConvexRegion):
         factor[outside] = self.radius / dist[outside]
         return self.center + diff * factor[:, None]
 
-    def is_member(self, y):
-        self._check_dim(y)
-        return bool(np.linalg.norm(np.asarray(y, float) - self.center) <= self.radius)
+    def _both_active(self, ys, ball):
+        u = ball.center - self.center
+        d = float(np.linalg.norm(u))
+        if d + min(self.radius, ball.radius) <= max(self.radius, ball.radius):
+            # One ball holds the other: the inner one is the intersection.
+            return (self if self.radius <= ball.radius else ball).project_exact(ys)
+        if d >= self.radius + ball.radius:
+            raise ProjectionError(
+                "ball intersection is empty or a single point; region is ill-posed", d
+            )
+        # The two spheres meet in their radical hyperplane.
+        t = (d**2 + self.radius**2 - ball.radius**2) / (2.0 * d)
+        return _onto_cut_sphere(self, u / d, t, ys)
 
     def is_member_batch(self, ys):
         diff = np.asarray(ys, float) - self.center
@@ -224,8 +285,6 @@ class Ball(ConvexRegion):
 class _SingleHalfspace(ConvexRegion):
     """Internal elementary piece ``a^T x <= b`` with a != 0."""
 
-    has_analytic_projection = True
-
     def __init__(self, normal, offset):
         normal = np.asarray(normal, dtype=float)
         nn = float(np.dot(normal, normal))
@@ -241,23 +300,26 @@ class _SingleHalfspace(ConvexRegion):
         viol = np.maximum(ys @ self.normal - self.offset, 0.0) / self._nn
         return ys - viol[:, None] * self.normal
 
-    def is_member(self, y):
-        self._check_dim(y)
-        return bool(np.dot(y, self.normal) <= self.offset)
+    def _both_active(self, ys, ball):
+        height = (float(ball.center @ self.normal) - self.offset) / np.sqrt(self._nn)
+        if height <= -ball.radius:
+            return ball.project_exact(ys)  # the ball lies inside the halfspace
+        if height >= ball.radius:
+            raise ProjectionError(
+                "ball misses the halfspace; intersection empty or a single point",
+                height - ball.radius,
+            )
+        return _onto_cut_sphere(ball, self.normal / np.sqrt(self._nn), -height, ys)
 
     def is_member_batch(self, ys):
         return ys @ self.normal <= self.offset
-
-    def distance(self, y):
-        self._check_dim(y)
-        return max(0.0, (float(np.dot(y, self.normal)) - self.offset) / np.sqrt(self._nn))
 
 
 class Halfspaces(ConvexRegion):
     """Intersection of halfspaces ``normals @ x <= offsets`` (a polyhedron).
 
-    A single row has an analytic projection; two or more rows are handled
-    by Dykstra's scheme over the individual halfspaces.
+    A single row is projected onto exactly, as its one halfspace; two or
+    more rows are handled by Dykstra's scheme over the individual halfspaces.
     """
 
     def __init__(self, normals, offsets):
@@ -272,26 +334,8 @@ class Halfspaces(ConvexRegion):
             _SingleHalfspace(n, b) for n, b in zip(normals, offsets)
         ]
 
-    @property
-    def has_analytic_projection(self):
-        return len(self._pieces) == 1
-
-    def project_exact(self, ys):
-        if len(self._pieces) != 1:
-            raise NotImplementedError("multi-halfspace projection is iterative")
-        return self._pieces[0].project_exact(ys)
-
-    def is_member(self, y):
-        self._check_dim(y)
-        return bool(np.all(self.normals @ np.asarray(y, float) <= self.offsets))
-
     def is_member_batch(self, ys):
         return np.all(ys @ self.normals.T <= self.offsets, axis=1)
-
-    def distance(self, y):
-        if len(self._pieces) == 1:
-            return self._pieces[0].distance(y)
-        return super().distance(y)
 
     def dykstra_pieces(self):
         return list(self._pieces)
@@ -312,9 +356,6 @@ class Intersection(ConvexRegion):
             raise ValueError("intersection members must share a dimension")
         super().__init__(dims.pop())
         self.members = members
-
-    def is_member(self, y):
-        return all(m.is_member(y) for m in self.members)
 
     def is_member_batch(self, ys):
         ok = np.ones(len(ys), dtype=bool)
@@ -361,42 +402,81 @@ def _dykstra_batch(pieces, ys):
     )
 
 
+def _shortcuts(onto_piece, piece, ball, ys):
+    """The two exact shortcuts for projecting ``ys`` onto ``piece`` and ``ball``.
+
+    ``onto_piece`` (the projections onto the piece, overwritten in place)
+    is kept where it lies in the ball; elsewhere the ball projection is
+    taken where it lies in the piece.  Returns the points and the indices
+    of the rows left over, at which both constraints are active.
+    """
+    rest = np.flatnonzero(~ball.is_member_batch(onto_piece))
+    if rest.size:
+        onto_ball = ball.project_exact(ys[rest])
+        inside = piece.is_member_batch(onto_ball)
+        onto_piece[rest[inside]] = onto_ball[inside]
+        rest = rest[~inside]
+    return onto_piece, rest
+
+
+def _route(region, ys, ball=None):
+    """Project the rows of ``ys`` onto ``region``, or onto ``region`` ∩ ``ball``.
+
+    The one projection route behind :func:`project_batch` and
+    :class:`TrustRegionProjector`; returns ``(points, sweeps, residual)``.
+    On whole space every row takes the ball's closed form.  Otherwise
+    feasible rows come back unchanged; when the pieces reduce to one
+    analytic piece plus at most one ball, that piece's exact method
+    answers; any other rows go to Dykstra, after the two exact shortcuts
+    when a ball is given.
+    """
+    ys = np.asarray(ys, dtype=float)
+    pieces = region.dykstra_pieces()
+    if ball is not None and not pieces:
+        return ball.project_exact(ys), 0, 0.0
+    out = np.array(ys)
+    todo = ~region.is_member_batch(ys)
+    if ball is not None:
+        todo |= ~ball.is_member_batch(ys)
+    if not np.any(todo):
+        return out, 0, 0.0
+    work = ys[todo]
+    if ball is None and len(pieces) == 2 and any(isinstance(p, Ball) for p in pieces):
+        ball = next(p for p in pieces if isinstance(p, Ball))
+        pieces = [p for p in pieces if p is not ball]
+    sweeps, residual = 0, 0.0
+    if len(pieces) == 1:
+        piece = pieces[0]
+        if ball is None:
+            out[todo] = piece.project_exact(work)
+        else:
+            out[todo] = piece.project_in_ball(work, ball)
+    elif ball is None:
+        out[todo], sweeps, residual = _dykstra_batch(pieces, work)
+    else:
+        onto_region, sweeps, residual = _route(region, work)
+        result, rest = _shortcuts(onto_region, region, ball, work)
+        if rest.size:
+            result[rest], more, residual = _dykstra_batch(pieces + [ball], work[rest])
+            sweeps += more
+        out[todo] = result
+    return out, sweeps, residual
+
+
 def project_batch(region, ys):
     """Project a batch ``(m, n)`` onto ``region``; returns (points, iters, residual)."""
     region._check_dim(ys)
-    ys = np.asarray(ys, dtype=float)
-    if region.has_analytic_projection:
-        return region.project_exact(ys), 0, 0.0
-    pieces = region.dykstra_pieces()
-    if not pieces:
-        return np.array(ys, dtype=float), 0, 0.0
-    if len(pieces) == 1:
-        return pieces[0].project_exact(ys), 0, 0.0
-    # Rows already feasible are fixed points; skip them.
-    out = np.array(ys, dtype=float)
-    todo = ~region.is_member_batch(ys)
-    if not np.any(todo):
-        return out, 0, 0.0
-    # A two-piece intersection involving a ball has exact treatments
-    # (shortcuts, two-ball circle, scalar dual); route through them.
-    if len(pieces) == 2 and any(isinstance(piece, Ball) for piece in pieces):
-        ball = next(piece for piece in pieces if isinstance(piece, Ball))
-        other = next(piece for piece in pieces if piece is not ball)
-        projector = TrustRegionProjector(other, ball.center, ball.radius)
-        out[todo] = projector(ys[todo])
-        return out, projector.last_sweeps, projector.last_residual
-    projected, sweeps, residual = _dykstra_batch(pieces, ys[todo])
-    out[todo] = projected
-    return out, sweeps, residual
+    return _route(region, ys)
 
 
 def project(region, y):
     """Euclidean projection of ``y`` onto ``region``.
 
-    Analytic for whole space, boxes, balls and single halfspaces; Dykstra's
-    alternating scheme for halfspace lists and intersections, run until the
-    within-sweep move is at most ``DYKSTRA_TOL`` or ``DYKSTRA_MAX_SWEEPS``
-    sweeps have elapsed (then :class:`ProjectionError` is raised).
+    Exact for whole space, boxes, balls and single halfspaces, and for one
+    of them intersected with a ball; Dykstra's alternating scheme for
+    other halfspace lists and intersections, run until the within-sweep
+    move is at most ``DYKSTRA_TOL`` or ``DYKSTRA_MAX_SWEEPS`` sweeps have
+    elapsed (then :class:`ProjectionError` is raised).
     """
     ys, single = _as_batch(y)
     points, iters, residual = project_batch(region, ys)
@@ -421,98 +501,36 @@ def contains(region, y, tol=None):
     return region.distance(y) <= tol
 
 
-def _two_ball_circle(ball_a, ball_b):
-    """Boundary-intersection sphere of two balls, or None when one contains
-    the other (the inner ball is then the whole intersection)."""
-    u = ball_b.center - ball_a.center
-    d = float(np.linalg.norm(u))
-    if d + min(ball_a.radius, ball_b.radius) <= max(ball_a.radius, ball_b.radius):
-        return None
-    if d >= ball_a.radius + ball_b.radius:
-        raise ProjectionError(
-            "ball intersection is empty or a single point; region is ill-posed", d
-        )
-    u_hat = u / d
-    t = (d**2 + ball_a.radius**2 - ball_b.radius**2) / (2.0 * d)
-    rho_sq = ball_a.radius**2 - t**2
-    center = ball_a.center + t * u_hat
-    fallback = np.zeros_like(u_hat)
-    fallback[int(np.argmin(np.abs(u_hat)))] = 1.0
-    fallback -= (fallback @ u_hat) * u_hat
-    fallback /= np.linalg.norm(fallback)
-    return center, np.sqrt(max(rho_sq, 0.0)), u_hat, fallback
+def _onto_cut_sphere(ball, unit, t, ys):
+    """Nearest points to ``ys`` on the sphere of ``ball`` cut by the
+    hyperplane ``unit . (z - ball.center) = t`` (``unit`` of length one).
 
-
-def _project_onto_circle(circle, ys):
-    """Nearest point on the boundary-intersection sphere of two balls.
-
-    Valid as the intersection projection exactly when both ball constraints
-    are active, i.e. when each single-ball projection violates the other.
+    This is the projection onto the ball intersected with a second set
+    whose boundary meets the sphere there, valid exactly when both
+    constraints are active, i.e. when each single-set projection violates
+    the other.  Points on the cut's axis go to a fixed in-plane direction.
     """
-    center, rho, u_hat, fallback = circle
+    center = ball.center + t * unit
+    fallback = np.zeros_like(unit)
+    fallback[int(np.argmin(np.abs(unit)))] = 1.0
+    fallback -= (fallback @ unit) * unit
+    fallback /= np.linalg.norm(fallback)
     offset = ys - center
-    tangential = offset - (offset @ u_hat)[:, None] * u_hat
+    tangential = offset - (offset @ unit)[:, None] * unit
     norms = np.sqrt(np.einsum("ij,ij->i", tangential, tangential))
     safe = norms > 0.0
     direction = np.where(
         safe[:, None], tangential / np.where(safe, norms, 1.0)[:, None], fallback
     )
-    return center + rho * direction
-
-
-def _dual_bisection_ball(region, ball, ys, steps=90):
-    """Exact projection onto ``region`` intersected with a ball via duality.
-
-    With a single multiplier mu >= 0 on the ball constraint, the optimality
-    condition collapses to ``z(mu) = P_region((y + mu c) / (1 + mu))`` with
-    ``||z(mu) - c||`` nonincreasing in mu; the correct mu makes the ball
-    constraint active.  Only called for rows whose projection onto the
-    region alone leaves the ball (so mu = 0 overshoots), and requires the
-    ball center's distance to the region to be below the radius (otherwise
-    the intersection is empty or a single point).  Bisection on mu is
-    exact to floating-point resolution; unlike alternating schemes it does
-    not degrade when the two boundaries meet tangentially.
-    """
-    c, r = ball.center, ball.radius
-    if region.distance(c) >= r:
-        raise ProjectionError(
-            "ball center too far from the region; intersection empty or degenerate",
-            region.distance(c) - r,
-        )
-
-    def violation(mu):
-        w = (ys + mu[:, None] * c) / (1.0 + mu[:, None])
-        z = region.project_exact(w)
-        diff = z - c
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff)) - r, z
-
-    lo = np.zeros(len(ys))
-    hi = np.ones(len(ys))
-    for _ in range(80):
-        gap, _ = violation(hi)
-        grow = gap > 0.0
-        if not np.any(grow):
-            break
-        lo[grow] = hi[grow]
-        hi[grow] *= 2.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        gap, _ = violation(mid)
-        above = gap > 0.0
-        lo[above] = mid[above]
-        hi[~above] = mid[~above]
-    gap, z = violation(hi)
-    return z
+    return center + np.sqrt(max(ball.radius**2 - t**2, 0.0)) * direction
 
 
 class TrustRegionProjector:
     """Reusable projector onto ``region`` intersected with a fixed ball.
 
-    Builds the Dykstra piece list once; calls then run two exactness
-    shortcuts (projection onto one set landing in the other) and fall back
-    to the closed two-ball form (ball regions) or Dykstra for the leftover
-    rows.  The last call's sweep count and residual are kept on the
-    instance.
+    Calls go through the same route as :func:`project_batch`, with the
+    ball as one more piece.  The last call's Dykstra sweep count and
+    residual are kept on the instance.
     """
 
     def __init__(self, region, center, radius):
@@ -520,73 +538,48 @@ class TrustRegionProjector:
             raise ValueError("ball radius must be positive")
         self.region = region
         self.ball = Ball(center, radius)
-        self.pieces = region.dykstra_pieces() + [self.ball]
-        self.ball_only = len(self.pieces) == 1
-        self.circle = _two_ball_circle(region, self.ball) if isinstance(region, Ball) else None
-        if isinstance(region, Ball) and self.circle is None:
-            # One ball contains the other: the inner one is the intersection.
-            self.ball = region if region.radius <= radius else self.ball
-            self.ball_only = True
         self.last_sweeps = 0
         self.last_residual = 0.0
 
     def __call__(self, ys):
-        ys = np.asarray(ys, dtype=float)
-        self.last_sweeps, self.last_residual = 0, 0.0
-        if self.ball_only:
-            return self.ball.project_exact(ys)
-
-        out = np.array(ys, dtype=float)
-        todo = ~(self.region.is_member_batch(ys) & self.ball.is_member_batch(ys))
-        if not np.any(todo):
-            return out
-        work = ys[todo]
-
-        done = np.zeros(len(work), dtype=bool)
-        result = np.empty_like(work)
-        onto_region, _, _ = project_batch(self.region, work)
-        in_ball = self.ball.is_member_batch(onto_region)
-        result[in_ball] = onto_region[in_ball]
-        done |= in_ball
-        if not np.all(done):
-            onto_ball = self.ball.project_exact(work[~done])
-            in_region = self.region.is_member_batch(onto_ball)
-            idx = np.flatnonzero(~done)
-            result[idx[in_region]] = onto_ball[in_region]
-            done[idx[in_region]] = True
-        if not np.all(done):
-            rest = work[~done]
-            if self.circle is not None:
-                result[~done] = _project_onto_circle(self.circle, rest)
-            elif self.region.has_analytic_projection:
-                result[~done] = _dual_bisection_ball(self.region, self.ball, rest)
-            else:
-                projected, self.last_sweeps, self.last_residual = _dykstra_batch(
-                    self.pieces, rest
-                )
-                result[~done] = projected
-        out[todo] = result
+        out, self.last_sweeps, self.last_residual = _route(self.region, ys, self.ball)
         return out
-
-
-def project_onto_ball_intersection_batch(region, center, radius, ys):
-    """Batch projection onto ``region`` intersected with ``B(center, radius)``."""
-    region._check_dim(ys)
-    projector = TrustRegionProjector(region, center, radius)
-    out = projector(ys)
-    return out, projector.last_sweeps, projector.last_residual
 
 
 def project_onto_ball_intersection(region, center, radius, y):
     """Projection onto ``region`` intersected with a ball, as a ProjectionResult.
 
-    The feasible set of every trust-region subproblem has this shape; the
-    ball is treated as one more intersected piece in the Dykstra scheme,
-    after two exact shortcuts (projection onto one set landing in the other).
+    The feasible set of every trust-region subproblem has this shape.  A
+    region with one analytic piece is projected onto exactly; otherwise
+    the two exact shortcuts (projection onto one set landing in the other)
+    come first and Dykstra's scheme, with the ball as one more piece,
+    handles the rest.
     """
     ys, single = _as_batch(y)
-    points, iters, residual = project_onto_ball_intersection_batch(region, center, radius, ys)
-    return ProjectionResult(points[0] if single else points, iters, float(residual))
+    region._check_dim(ys)
+    projector = TrustRegionProjector(region, center, radius)
+    points = projector(ys)
+    return ProjectionResult(
+        points[0] if single else points, projector.last_sweeps, float(projector.last_residual)
+    )
+
+
+def shrink_into(region, x, s):
+    """Shrink the displacement ``s`` until ``x + s`` is an exact member.
+
+    ``x`` must be a member.  Projections are exact up to rounding, so a
+    point about to be evaluated can sit an ulp outside the region; each
+    try shrinks ``s`` by a factor whose gap to 1 starts at one ulp and
+    doubles.  ``s`` comes back unchanged when ``x + s`` is already a
+    member, or when no shrink makes it one (``x`` on the same boundary).
+    """
+    shrunk, shrink = s, np.finfo(float).eps
+    while not region.is_member(x + shrunk):
+        if shrink >= 1.0:
+            return s
+        shrunk = shrunk * (1.0 - shrink)
+        shrink *= 2.0
+    return shrunk
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ import numpy as np
 from .geometry import (
     TrustRegionProjector,
     contains,
-    membership_tolerance,
-    project_onto_ball_intersection_batch,
+    shrink_into,
 )
 from .linear_models import InterpolationSet
 from .quadratic_models import SignedLogDet, assemble_system, det_after_point_swap
@@ -123,8 +122,7 @@ def _ascent_starts(system, region, x, r, rng):
     axis = np.concatenate([x + r * np.eye(n), x - r * np.eye(n)], axis=0)
     random_pts = sample_feasible_in_ball(rng, region, x, r, N_RANDOM_STARTS)
     starts = np.concatenate([system.points, axis, random_pts], axis=0)
-    projected, _, _ = project_onto_ball_intersection_batch(region, x, r, starts)
-    return projected
+    return TrustRegionProjector(region, x, r)(starts)
 
 
 class _StackedQuadratics:
@@ -378,7 +376,7 @@ def initial_invertible_set(region, x, delta, p, rng=None):
 
     for t in range(p):
         y_t = iset.points[t]
-        if contains(region, y_t, membership_tolerance(y_t)):
+        if region.is_member(y_t):
             continue
         # Any clearly nonzero Lagrange value will do here, so stop the
         # search once a comfortably large one appears.
@@ -390,6 +388,8 @@ def initial_invertible_set(region, x, delta, p, rng=None):
                 f"region too thin for invertible geometry: best |l_{t}| = {value:.3e} "
                 f"within B(x, {r}) over the feasible set"
             )
+        if not region.is_member(point):  # rounding left it just outside
+            point = x + shrink_into(region, x, point - x)
         iset = iset.replace_point(t, point)
         system = assemble_system(iset)
     return iset
@@ -454,6 +454,8 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
                 swap_log,
             )
         y_new = points[worst]
+        if not region.is_member(y_new):  # rounding left it just outside
+            y_new = x + shrink_into(region, x, y_new - x)
         predicted = det_after_point_swap(system, worst, y_new)
         work = work.replace_point(worst, y_new)
         system = assemble_system(work)

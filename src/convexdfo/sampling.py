@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import project_onto_ball_intersection_batch
+from .geometry import TrustRegionProjector
 
 __all__ = ["uniform_in_ball", "sample_feasible_in_ball"]
 
@@ -40,6 +40,5 @@ def sample_feasible_in_ball(rng, region, center, radius, count, max_batches=200)
     if total >= count:
         return np.concatenate(kept, axis=0)[:count]
     fallback = uniform_in_ball(rng, center, radius, count - total)
-    projected, _, _ = project_onto_ball_intersection_batch(region, center, radius, fallback)
-    kept.append(projected)
+    kept.append(TrustRegionProjector(region, center, radius)(fallback))
     return np.concatenate(kept, axis=0)[:count]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import contains, project
+from .geometry import ProjectionError, project
 from .linear_models import build_design_matrix, fit_regression_model
 from .poisedness import (
     PoisednessImprovementError,
@@ -247,7 +247,7 @@ def solve(f, region, x0, config=None):
 
     x = np.asarray(x0, dtype=float)
     region._check_dim(x)
-    if not contains(region, x):
+    if not region.is_member(x):
         x = project(region, x).point
         record.notes.append("starting point was infeasible; projected into the region")
     n = x.size
@@ -266,18 +266,19 @@ def solve(f, region, x0, config=None):
         return cert_cache[key]
 
     def improve(iset, center, radius):
+        # The repaired set is handed back with its values, and only once
+        # they all exist, so the record never pairs a set with stale values.
         new_set, cert, _ = improve_to_poised(iset, region, center, radius, p, lam, rng=rng)
         key = (new_set.points.tobytes(), center.tobytes(), radius)
         cert_cache.clear()
         cert_cache[key] = cert
-        return new_set
+        return (new_set, *_evaluate_set(oracle, new_set, cache))
 
     iset, values = None, None
     try:
         fx = oracle(x)
         cache = {x.tobytes(): fx}
-        iset = improve(None, x, delta)
-        values, cache = _evaluate_set(oracle, iset, cache)
+        iset, values, cache = improve(None, x, delta)
 
         for k in range(50 * config.max_evals):
             if delta < config.delta_min:
@@ -287,8 +288,7 @@ def solve(f, region, x0, config=None):
             model, system = _build_model(iset, values, config.model_kind)
             if model is None:
                 # Degenerate geometry slipped in; rebuild before modelling.
-                iset = improve(iset, x, delta)
-                values, cache = _evaluate_set(oracle, iset, cache)
+                iset, values, cache = improve(iset, x, delta)
                 model, system = _build_model(iset, values, config.model_kind)
                 if model is None:
                     raise SolverError("geometry repair failed to restore invertibility", record)
@@ -302,8 +302,7 @@ def solve(f, region, x0, config=None):
                 pi_m < delta / config.mu or not fully_linear
             ):
                 delta = config.gamma_dec * delta if fully_linear else delta
-                iset = improve(iset, x, delta)
-                values, cache = _evaluate_set(oracle, iset, cache)
+                iset, values, cache = improve(iset, x, delta)
                 record.rows.append(IterationRow(
                     k, f_at_k, delta_at_k, pi_m, None, "criticality",
                     oracle.used, fully_linear,
@@ -328,8 +327,7 @@ def solve(f, region, x0, config=None):
                 x, fx = trial, f_trial
             elif not fully_linear:
                 step_kind = "model-improving"
-                iset = improve(iset, x, delta)
-                values, cache = _evaluate_set(oracle, iset, cache)
+                iset, values, cache = improve(iset, x, delta)
             else:
                 step_kind = "unsuccessful"
                 delta = config.gamma_dec * delta
@@ -346,7 +344,7 @@ def solve(f, region, x0, config=None):
             record.status = "stalled"
     except BudgetExhausted:
         record.status = "budget"
-    except (ThinRegionError, PoisednessImprovementError) as exc:
+    except (ThinRegionError, PoisednessImprovementError, ProjectionError) as exc:
         record.status = "error"
         raise SolverError(str(exc), record) from exc
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TrustRegionProjector, WholeSpace, contains
+from .geometry import TrustRegionProjector, WholeSpace, contains, shrink_into
 
 __all__ = [
     "CriticalityResult",
@@ -134,8 +134,10 @@ def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None):
     ``s(gamma) = proj(x - gamma g) - x`` from ``gamma = delta / ||g||``
     until the Cauchy target holds (or 50 halvings).  Phase 2 polishes with
     up to 10 projected-gradient steps, each accepted only if the model
-    value keeps decreasing.  ``satisfied_cauchy`` records whether the
-    decrease condition holds for the returned step.
+    value keeps decreasing.  The step is then shrunk, if need be, until
+    ``x + step`` as rounded is an exact member of the region (see
+    :func:`~convexdfo.geometry.shrink_into`).  ``satisfied_cauchy`` records
+    whether the decrease condition holds for the returned step.
     """
     x = np.asarray(x, dtype=float)
     g = model.grad(x)
@@ -178,6 +180,11 @@ def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None):
             break
         best_s, best_red = y_new - x, red
         y = y_new
+
+    # f is evaluated at x + step as rounded, which must be a member.
+    shrunk = shrink_into(region, x, best_s)
+    if shrunk is not best_s:
+        best_s, best_red = shrunk, m_x - model.value(x + shrunk)
 
     satisfied = best_red >= target - 1e-12 * (1.0 + abs(target))
     return TrustRegionStep(best_s, best_red, c1, bool(satisfied), pi_m)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from convexdfo import serialize
+from convexdfo import geometry, serialize
 from convexdfo.cli import main
 from convexdfo.linear_models import InterpolationSet, LinearModel
 from convexdfo.problems import get_problem, problem_names, true_criticality
@@ -140,6 +140,17 @@ class TestCliSolve:
             "solve", "--config", str(cfg), "--max-evals", "0", "--out", str(tmp_path),
         ])
         assert code == 2  # flag overrides file and fails validation
+
+    def test_projection_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(geometry, "DYKSTRA_MAX_SWEEPS", 1)
+        code = main([
+            "solve", "--problem", "quad2d", "--region",
+            "intersect(halfspace(normal=[1,0], offset=0.9), halfspace(normal=[0,1], offset=0.5))",
+            "--max-evals", "60", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert "solver failure" in capsys.readouterr().err
+        assert (tmp_path / "runrecord.csv").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

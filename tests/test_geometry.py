@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexdfo import geometry as geo
+from convexdfo.problems import get_problem
+from convexdfo.solver import SolverConfig, solve
 
 from oracles import arc_projection, grid_project
 
@@ -17,6 +21,9 @@ def regions_for_properties():
         geo.Halfspaces([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 1.0]),
         geo.Intersection([geo.Box([0.0, 0.0], [1.0, 1.0]), geo.Ball([0.0, 0.0], 1.0)]),
         geo.Intersection([geo.Ball([0.0, 0.0], 1.5), geo.Ball([0.5, 0.0], 1.2)]),
+        # Box with a ball whose centre lies outside it, and halfspace with ball.
+        geo.Intersection([geo.Box([0.0, 0.0], [1.0, 1.0]), geo.Ball([1.5, 0.5], 1.0)]),
+        geo.Intersection([geo.Halfspaces([[1.0, 1.0]], [1.0]), geo.Ball([0.0, 0.0], 1.2)]),
     ]
 
 
@@ -118,6 +125,88 @@ class TestBallIntersectionProjection:
                 [region, geo.Ball(center, radius)], np.array([y])
             )
             assert np.linalg.norm(res.point - pts[0]) <= 1e-7
+
+
+PIECE_KINDS = ["whole", "box", "box-centre-outside", "box-tangent", "ball", "halfspace"]
+
+
+def piece_ball_case(kind, n, seed):
+    """One analytic piece, a ball ``B(c, r)`` meeting it, and query rows."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, n)
+    if kind == "whole":
+        region = geo.WholeSpace(n)
+    elif kind.startswith("box"):
+        lower = c - rng.uniform(0.1, 1.0, n)
+        upper = c + rng.uniform(0.1, 1.0, n)
+        if kind == "box-centre-outside":
+            lower[0], upper[0] = c[0] + 0.1, c[0] + 1.0
+        region = geo.Box(lower, upper)
+    elif kind == "ball":
+        region = geo.Ball(c + rng.uniform(-0.8, 0.8, n), rng.uniform(0.3, 1.5))
+    else:
+        region = geo.Halfspaces([rng.standard_normal(n)], [rng.uniform(-0.5, 0.5)])
+    if kind == "box-tangent":
+        # The ball touches the nearest face of the box from inside.
+        r = float(min(np.min(c - region.lower), np.min(region.upper - c)))
+    else:
+        r = region.distance(c) + rng.uniform(0.2, 1.5)
+    ys = c + rng.standard_normal((12, n)) * rng.uniform(0.3, 3.0)
+    ys[0, ::2] = c[::2]  # zero components of y - c
+    return region, c, r, ys
+
+
+class TestPieceBallRoutes:
+    """Projection onto one analytic piece intersected with a ball."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PIECE_KINDS), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_exact_projection(self, kind, n, seed):
+        region, c, r, ys = piece_ball_case(kind, n, seed)
+        ball = geo.Ball(c, r)
+        out = geo.TrustRegionProjector(region, c, r)(ys)
+        scale = 1.0 + np.max(np.abs(ys))
+
+        # The result lies in the piece (exactly for boxes, by clipping) and
+        # in the ball, up to rounding.
+        if kind.startswith("box"):
+            assert np.all(region.is_member_batch(out))
+        assert all(geo.contains(region, p, 1e-14 * scale) for p in out)
+        assert np.all(np.linalg.norm(out - c, axis=1) <= r * (1.0 + 1e-14))
+
+        # Feasible rows come back unchanged (on whole space, to rounding).
+        feasible = region.is_member_batch(ys) & ball.is_member_batch(ys)
+        if kind == "whole":
+            np.testing.assert_allclose(out[feasible], ys[feasible], rtol=1e-15, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(out[feasible], ys[feasible])
+
+        # Agreement with Dykstra's scheme, which stays the reference.
+        reference, _, _ = geo._dykstra_batch(region.dykstra_pieces() + [ball], ys)
+        assert np.max(np.abs(out - reference)) <= 1e-7 * scale
+
+        # Variational inequality against points of piece ∩ ball.
+        spread = c + r * np.random.default_rng(seed).uniform(-1.5, 1.5, (20, n))
+        zs = geo.TrustRegionProjector(region, c, r)(spread)
+        gaps = np.einsum("ij,kj->ik", ys - out, zs) - np.einsum("ij,ij->i", ys - out, out)[:, None]
+        assert np.max(gaps) <= 1e-9 * scale**2
+
+    def test_analytic_routes_never_run_dykstra(self, monkeypatch, rng):
+        def fail(*args):
+            raise AssertionError("Dykstra reached")
+
+        monkeypatch.setattr(geo, "_dykstra_batch", fail)
+        problem = get_problem("quad2d")
+        solve(problem.f, problem.region, problem.x0, SolverConfig(max_evals=80, seed=0))
+        for kind in PIECE_KINDS:
+            region, c, r, ys = piece_ball_case(kind, 3, 7)
+            geo.TrustRegionProjector(region, c, r)(ys)
+            geo.project_onto_ball_intersection(region, c, r, ys[1])
+        for region in regions_for_properties():
+            pieces = region.dykstra_pieces()
+            with_ball = len(pieces) == 2 and any(isinstance(p, geo.Ball) for p in pieces)
+            if len(pieces) <= 1 or with_ball:
+                geo.project(region, rng.standard_normal((10, region.dimension)) * 3.0)
 
 
 def random_points(rng, region, count, spread=2.0):

@@ -3,7 +3,7 @@ import pytest
 
 from convexdfo import geometry as geo
 from convexdfo.problems import get_problem, true_criticality
-from convexdfo.solver import IterationRow, RunRecord, SolverConfig, solve
+from convexdfo.solver import IterationRow, RunRecord, SolverConfig, SolverError, solve
 
 
 def run(problem_name, **config_kwargs):
@@ -158,6 +158,23 @@ class TestEdgeCases:
         assert record.final_set is not None
         assert record.final_set.npoints == 6
         assert record.final_values.shape == (6,)
+
+    @pytest.mark.parametrize("budget", [2, 3, 7, 11, 20, 40])
+    def test_final_set_matches_its_values(self, budget):
+        problem, _, _, record = run("quad2d", max_evals=budget, seed=0)
+        if budget < 5:  # the first set (5 points, one cached) is never complete
+            assert record.final_set is None and record.final_values is None
+        else:
+            expected = [problem.f(y) for y in record.final_set.points]
+            np.testing.assert_array_equal(record.final_values, expected)
+
+    def test_projection_failure_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(geo, "DYKSTRA_MAX_SWEEPS", 1)
+        problem = get_problem("quad2d")
+        region = geo.Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.9, 0.5])
+        with pytest.raises(SolverError) as info:
+            solve(problem.f, region, problem.x0, SolverConfig(max_evals=60, seed=0))
+        assert info.value.record.status == "error"
 
     def test_determinism_same_seed(self):
         _, _, x1, rec1 = run("quad2d", npoints=6, max_evals=150, seed=11)
