@@ -280,7 +280,9 @@ def _sweep(system, region, x, r, rng, early_exit_at=None, skip_bounded_at=None):
 
 def _geometry_ok(system, region, x, r, beta):
     dists = np.linalg.norm(system.points - x, axis=1)
-    if np.any(dists > beta * r * (1.0 + GEOMETRY_SLACK) + GEOMETRY_SLACK):
+    # Slack relative to r, plus the rounding of stored coordinates of size ||x||.
+    rounding = np.finfo(float).eps * np.linalg.norm(x)
+    if np.any(dists > beta * r * (1.0 + GEOMETRY_SLACK) + rounding):
         return False, "point outside beta * min(radius, 1) ball"
     for y in system.points:
         if not contains(region, y, 1e-9 * (1.0 + float(np.linalg.norm(y)))):

@@ -55,6 +55,10 @@ class BudgetExhausted(Exception):
     """Internal signal: the evaluation budget is spent."""
 
 
+class _ObjectiveFailure(Exception):
+    """Internal signal: ``f`` raised or returned a non-finite value."""
+
+
 class SolverError(RuntimeError):
     """Hard subsolver failure; carries the partial run record."""
 
@@ -164,7 +168,7 @@ class RunRecord:
 
 
 class _BudgetedOracle:
-    """Counts objective evaluations and stops the run at the budget."""
+    """Counts objective evaluations, stops the run at the budget, rejects bad values."""
 
     def __init__(self, f, budget):
         self.f = f
@@ -175,7 +179,14 @@ class _BudgetedOracle:
         if self.used >= self.budget:
             raise BudgetExhausted
         self.used += 1
-        return float(self.f(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        try:
+            value = float(self.f(x))
+        except Exception as exc:
+            raise _ObjectiveFailure(f"objective raised {exc!r} at x = {x.tolist()}") from exc
+        if not np.isfinite(value):
+            raise _ObjectiveFailure(f"objective returned {value} at x = {x.tolist()}")
+        return value
 
 
 def _evaluate_set(oracle, iset, cache):
@@ -237,8 +248,9 @@ def solve(f, region, x0, config=None):
     ``f`` is called only at feasible points.  An infeasible ``x0`` is
     projected into the region first (noted in the record).  Terminates when
     the evaluation budget is spent or the trust region shrinks below
-    ``delta_min``; hard subsolver failures raise :class:`SolverError`
-    carrying the partial record.
+    ``delta_min``.  Hard subsolver failures, and an ``f`` that raises or
+    returns a value that is not finite, end the run with status ``"error"``
+    and raise :class:`SolverError` carrying the partial record.
     """
     config = config or SolverConfig()
     config.validate()
@@ -256,23 +268,18 @@ def solve(f, region, x0, config=None):
     oracle = _BudgetedOracle(f, config.max_evals)
     delta = config.delta0
 
-    cert_cache = {}
-
-    def certify(iset, system, center, radius):
-        key = (iset.points.tobytes(), center.tobytes(), radius)
-        if key not in cert_cache:
-            cert_cache.clear()
-            cert_cache[key] = check_poisedness(system, region, lam, beta=1.0, rng=rng)
-        return cert_cache[key]
+    # The set improve() last returned and the certificate it came with; it
+    # stands for that set at (x, delta) until a step replaces the set.
+    repaired_set, repaired_cert = None, None
 
     def improve(iset, center, radius):
         # The repaired set is handed back with its values, and only once
         # they all exist, so the record never pairs a set with stale values.
-        new_set, cert, _ = improve_to_poised(iset, region, center, radius, p, lam, rng=rng)
-        key = (new_set.points.tobytes(), center.tobytes(), radius)
-        cert_cache.clear()
-        cert_cache[key] = cert
-        return (new_set, *_evaluate_set(oracle, new_set, cache))
+        nonlocal repaired_set, repaired_cert
+        repaired_set, repaired_cert, _ = improve_to_poised(
+            iset, region, center, radius, p, lam, rng=rng
+        )
+        return (repaired_set, *_evaluate_set(oracle, repaired_set, cache))
 
     iset, values = None, None
     try:
@@ -295,7 +302,10 @@ def solve(f, region, x0, config=None):
 
             f_at_k, delta_at_k = fx, delta
             pi_m = criticality_measure(model.grad(x), x, region, 1.0).value
-            cert = certify(iset, system, x, delta)
+            if iset is repaired_set:
+                cert = repaired_cert
+            else:
+                cert = check_poisedness(system, region, lam, beta=1.0, rng=rng)
             fully_linear = bool(cert.verified)
 
             if pi_m < config.eps_criticality and (
@@ -344,9 +354,11 @@ def solve(f, region, x0, config=None):
             record.status = "stalled"
     except BudgetExhausted:
         record.status = "budget"
-    except (ThinRegionError, PoisednessImprovementError, ProjectionError) as exc:
+    except (ThinRegionError, PoisednessImprovementError, ProjectionError,
+            _ObjectiveFailure) as exc:
         record.status = "error"
-        raise SolverError(str(exc), record) from exc
+        # A failing f is reported through its own exception, not the signal.
+        raise SolverError(str(exc), record) from (exc.__cause__ or exc)
 
     if record.status == "running":
         record.status = "radius_min"

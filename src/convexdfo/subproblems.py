@@ -5,8 +5,9 @@ The criticality measure at a feasible point x is
     pi(x) = | min { g^T d : x + d feasible, ||d|| <= radius } |,
 
 zero exactly at first-order stationary points (radius 1 in the algorithm).
-It is computed by projected subgradient descent with decreasing steps and
-best-iterate tracking, with the unconstrained case short-circuited to
+The objective is linear, so projected gradient with the constant step
+``radius / ||g||`` decreases it at every step and stops at a fixed point,
+which is a minimizer; the unconstrained case is short-circuited to
 ``radius * ||g||``.
 
 The trust-region step minimizes the model over the feasible part of
@@ -46,7 +47,6 @@ class CriticalityResult:
     value: float
     minimizer: np.ndarray
     iterations: int
-    gap_estimate: float
 
 
 @dataclass
@@ -60,15 +60,18 @@ class TrustRegionStep:
     pi_model: float
 
 
-def criticality_measure(g, x, region, radius=1.0, max_iter=CRITICALITY_ITERATIONS):
+def criticality_measure(g, x, region, radius=1.0):
     """First-order criticality of the linear function g^T d over the feasible ball.
 
     Minimizes ``g^T d`` over ``{d : ||d|| <= radius, x + d in region}`` by
-    projected subgradient descent, steps ``radius / (||g|| sqrt(j+1))``,
-    warm-started at the projected steepest-descent direction, with
-    best-iterate tracking and a projected running average as an extra
-    candidate.  ``gap_estimate`` is the slack to the unconstrained lower
-    bound ``-radius ||g||`` (zero means the constraint set is inactive).
+    projected gradient from ``d = 0`` with the constant step
+    ``radius / ||g||``.  A linear objective has a zero-Lipschitz gradient,
+    so every step decreases it, and a fixed point ``d = P(d - t g)`` is a
+    minimizer.  The loop stops when a step moves ``d`` by at most
+    ``1e-15 * radius``, or after ``CRITICALITY_ITERATIONS`` steps; the cap
+    can end it short of the minimizer when a coordinate that must reach a
+    bound has ``|g_i|`` tiny against ``||g||``, as it moves
+    ``radius |g_i| / ||g||`` per step.
     """
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -76,39 +79,21 @@ def criticality_measure(g, x, region, radius=1.0, max_iter=CRITICALITY_ITERATION
         raise ValueError("criticality measure requires a feasible base point")
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
-        return CriticalityResult(0.0, np.zeros_like(g), 0, 0.0)
+        return CriticalityResult(0.0, np.zeros_like(g), 0)
     if isinstance(region, WholeSpace):
         d = -radius * g / gnorm
-        return CriticalityResult(radius * gnorm, d, 0, 0.0)
+        return CriticalityResult(radius * gnorm, d, 0)
 
     tr_proj = TrustRegionProjector(region, x, radius)
-
-    def proj(d):
-        return tr_proj((x + d)[None, :])[0] - x
-
-    d = proj(-radius * g / gnorm)
-    best_d, best_obj = np.zeros_like(g), 0.0  # d = 0 is always feasible
-    if g @ d < best_obj:
-        best_d, best_obj = d, float(g @ d)
-    avg = np.zeros_like(g)
-    iterations = 0
-    for j in range(max_iter):
-        iterations = j + 1
-        alpha = radius / (gnorm * np.sqrt(j + 1.0))
-        d_new = proj(d - alpha * g)
-        avg += d_new
-        obj = float(g @ d_new)
-        if obj < best_obj:
-            best_d, best_obj = d_new, obj
-        if np.linalg.norm(d_new - d) <= 1e-15 * radius:
-            d = d_new
-            break  # fixed point of the projected step: constrained optimum
+    step = (radius / gnorm) * g
+    d = np.zeros_like(g)
+    for iterations in range(1, CRITICALITY_ITERATIONS + 1):
+        d_new = tr_proj((x + d - step)[None, :])[0] - x
+        moved = float(np.linalg.norm(d_new - d))
         d = d_new
-    d_avg = proj(avg / max(iterations, 1))
-    if g @ d_avg < best_obj:
-        best_d, best_obj = d_avg, float(g @ d_avg)
-    value = max(0.0, -best_obj)
-    return CriticalityResult(value, best_d, iterations, radius * gnorm - value)
+        if moved <= 1e-15 * radius:
+            break
+    return CriticalityResult(max(0.0, -float(g @ d)), d, iterations)
 
 
 def cauchy_decrease_target(pi, hess_norm, delta, c1):

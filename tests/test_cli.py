@@ -1,13 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from convexdfo import geometry, serialize
+from convexdfo import geometry, problems, serialize
 from convexdfo.cli import main
 from convexdfo.linear_models import InterpolationSet, LinearModel
 from convexdfo.problems import get_problem, problem_names, true_criticality
 from convexdfo.quadratic_models import QuadraticModel
+
+from test_solver import failing_at
 
 
 class TestSerialize:
@@ -148,6 +151,17 @@ class TestCliSolve:
             "intersect(halfspace(normal=[1,0], offset=0.9), halfspace(normal=[0,1], offset=0.5))",
             "--max-evals", "60", "--out", str(tmp_path),
         ])
+        assert code == 3
+        assert "solver failure" in capsys.readouterr().err
+        assert (tmp_path / "runrecord.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "raise"])
+    def test_bad_objective_value_exits_3(self, bad, tmp_path, monkeypatch, capsys):
+        problem = get_problem("quad2d")
+        f = failing_at(problem.f, 5, bad)
+        monkeypatch.setitem(problems.REGISTRY, "quad2d", dataclasses.replace(problem, f=f))
+        code = main(["solve", "--problem", "quad2d", "--max-evals", "60",
+                     "--out", str(tmp_path)])
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
         assert (tmp_path / "runrecord.csv").exists()

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexdfo import geometry as geo
 from convexdfo import poisedness as po
@@ -108,6 +112,35 @@ class TestCheckPoisedness:
         stretched = iset.replace_point(3, np.array([1.9, 0.0]))
         system = qm.assemble_system(stretched)
         cert = po.check_poisedness(system, region, 50.0, rng=rng)
+        assert not cert.verified
+        assert "outside" in cert.reason
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(2, 8), st.floats(-8.0, 0.0),
+           st.integers(0, 2**32 - 1))
+    def test_geometry_verdict_scale_invariant(self, n, p, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, n)
+        dirs = rng.standard_normal((p, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        # Distances clear of the boundary by 1%, on both sides of it.
+        ratios = np.where(rng.random(p) < 0.5, rng.uniform(0.0, 0.99, p),
+                          rng.uniform(1.01, 2.0, p))
+        points = x + ratios[:, None] * dirs
+        scale = 10.0 ** log_scale
+        region = geo.WholeSpace(n)
+        ok, _ = po._geometry_ok(SimpleNamespace(points=points), region, x, 1.0, 1.0)
+        scaled = SimpleNamespace(points=x + scale * (points - x))
+        ok_scaled, _ = po._geometry_ok(scaled, region, x, scale, 1.0)
+        assert ok == ok_scaled == bool(np.all(ratios < 1.0))
+
+    def test_geometry_bound_at_smallest_radius(self):
+        # delta_min's default: 5% outside the ball is outside at any scale.
+        r, x = 1e-8, np.array([0.3, -0.2])
+        iset = po.initial_invertible_set(geo.WholeSpace(2), x, r, 6, rng=0)
+        far = iset.replace_point(1, x + np.array([1.05 * r, 0.0]))
+        cert = po.check_poisedness(qm.assemble_system(far), geo.WholeSpace(2), 10.0,
+                                   delta=r, rng=0)
         assert not cert.verified
         assert "outside" in cert.reason
 

@@ -13,6 +13,22 @@ def run(problem_name, **config_kwargs):
     return problem, config, x, record
 
 
+def failing_at(f, call, bad):
+    """``f`` except that call number ``call`` returns NaN or inf, or raises."""
+    calls = 0
+
+    def wrapped(x):
+        nonlocal calls
+        calls += 1
+        if calls != call:
+            return f(x)
+        if bad == "raise":
+            raise ZeroDivisionError("objective blew up")
+        return float(bad)
+
+    return wrapped
+
+
 class TestConfigValidation:
     def test_defaults_valid(self):
         SolverConfig().validate()
@@ -164,6 +180,26 @@ class TestEdgeCases:
         problem, _, _, record = run("quad2d", max_evals=budget, seed=0)
         if budget < 5:  # the first set (5 points, one cached) is never complete
             assert record.final_set is None and record.final_values is None
+        else:
+            expected = [problem.f(y) for y in record.final_set.points]
+            np.testing.assert_array_equal(record.final_values, expected)
+
+    @pytest.mark.parametrize("call", [5, 12])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "raise"])
+    def test_bad_objective_value_raises_solver_error(self, bad, call):
+        problem = get_problem("quad2d")
+        f = failing_at(problem.f, call, bad)
+        with pytest.raises(SolverError) as info:
+            solve(f, problem.region, problem.x0, SolverConfig(max_evals=60, seed=0))
+        record = info.value.record
+        assert record.status == "error"
+        if bad == "raise":
+            assert isinstance(info.value.__cause__, ZeroDivisionError)
+        else:
+            assert bad in str(info.value)
+        # The set and values are still the last pair evaluated in full.
+        if record.final_set is None:
+            assert record.final_values is None
         else:
             expected = [problem.f(y) for y in record.final_set.points]
             np.testing.assert_array_equal(record.final_values, expected)
