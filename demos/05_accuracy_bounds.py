@@ -14,7 +14,11 @@ from convexdfo import (
     fit_mfn_model,
     improve_to_poised,
 )
-from convexdfo.quadratic_models import check_fully_linear_bounds, mfn_accuracy_constants
+from convexdfo.accuracy import (
+    fully_linear_report,
+    mfn_accuracy_constants,
+    regression_accuracy_constants,
+)
 from convexdfo.problems import get_problem
 
 rng = np.random.default_rng(11)
@@ -30,9 +34,9 @@ model = fit_mfn_model(system, values)
 kappa_ef, kappa_eg = mfn_accuracy_constants(p, lam, problem.lipschitz_grad, 1.0)
 print(f"guaranteed constants: kappa_ef = {kappa_ef:.1f}, kappa_eg = {kappa_eg:.1f}")
 
-report = check_fully_linear_bounds(
-    iset, model, problem.f, problem.grad, problem.lipschitz_grad,
-    lam, 1.0, region, n_samples=2000, rng=rng,
+report = fully_linear_report(
+    model, problem.f, problem.grad, region, iset.base, iset.radius,
+    kappa_ef, kappa_eg, n_samples=2000, rng=rng,
 )
 print(f"observed/guaranteed function-error ratio: {report.max_ratio_f:.2e}")
 print(f"observed/guaranteed gradient-error ratio: {report.max_ratio_g:.2e}")
@@ -44,7 +48,6 @@ print("violated:", report.violated)
 # bound, so understating the smoothness constant by half already flags.
 from convexdfo import Ball, InterpolationSet, build_design_matrix, check_poisedness
 from convexdfo import fit_regression_model
-from convexdfo.linear_models import check_fully_linear_bounds as regression_bounds
 from convexdfo.poisedness import structured_initial_points
 
 quad = get_problem("quad2d")
@@ -59,9 +62,12 @@ affine = fit_regression_model(basis, values)
 print(f"\nclustered affine control: lambda = {cert.lambda_observed:.1f}, "
       f"beta = {cluster.displacement_bound:.3f}")
 for scale in (1.0, 0.5):
-    rep = regression_bounds(
-        cluster, affine, quad.f, quad.grad, scale * quad.lipschitz_grad,
-        cert.lambda_observed, cluster.displacement_bound, box,
+    kappas = regression_accuracy_constants(
+        cluster.npoints, cert.lambda_observed, scale * quad.lipschitz_grad,
+        cluster.displacement_bound,
+    )
+    rep = fully_linear_report(
+        affine, quad.f, quad.grad, box, cluster.base, cluster.radius, *kappas,
         n_samples=2000, rng=rng,
     )
     print(f"L scaled by {scale:4g}: worst ratio {rep.max_ratio:7.3f}  "

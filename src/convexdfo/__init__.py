@@ -10,6 +10,8 @@ when every sample must stay feasible:
   interpolation, the bordered KKT system, determinant update identities.
 * :mod:`convexdfo.poisedness` -- geometry certificates and constructive
   repair of interpolation sets.
+* :mod:`convexdfo.accuracy` -- guaranteed accuracy constants and sampled
+  checks of them (validation only; not imported by the package).
 * :mod:`convexdfo.subproblems` -- criticality measure and trust-region step.
 * :mod:`convexdfo.solver` -- the trust-region driver.
 * :mod:`convexdfo.problems` -- benchmark objectives for the harness.

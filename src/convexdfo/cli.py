@@ -28,12 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import poisedness, serialize
+from .accuracy import fully_linear_report, mfn_accuracy_constants, regression_accuracy_constants
 from .geometry import ProjectionError, parse_region
 from .linear_models import InterpolationSet, build_design_matrix, fit_regression_model
-from .linear_models import check_fully_linear_bounds as regression_bounds
 from .problems import get_problem, problem_names, true_criticality
 from .quadratic_models import assemble_system, fit_mfn_model
-from .quadratic_models import check_fully_linear_bounds as mfn_bounds
 from .sampling import sample_feasible_in_ball
 from .solver import MODEL_KINDS, SolverConfig, SolverError, solve
 
@@ -264,16 +263,15 @@ def cmd_bounds(args):
             lam_used = lam_by_kind[kind]
             if kind == "linear-regression":
                 model = fit_regression_model(basis, values)
-                report = regression_bounds(
-                    iset, model, problem.f, problem.grad, lipschitz, lam_used, beta,
-                    region, n_samples=args.samples, rng=rng,
-                )
+                constants = regression_accuracy_constants
             else:
                 model = fit_mfn_model(system, values)
-                report = mfn_bounds(
-                    iset, model, problem.f, problem.grad, lipschitz, lam_used, beta,
-                    region, n_samples=args.samples, rng=rng,
-                )
+                constants = mfn_accuracy_constants
+            report = fully_linear_report(
+                model, problem.f, problem.grad, region, iset.base, iset.radius,
+                *constants(iset.npoints, lam_used, lipschitz, beta),
+                n_samples=args.samples, rng=rng,
+            )
             any_violated |= report.violated
             lines.append(
                 f"{index},{kind},{problem.name},{n},{iset.npoints},{lam_used!r},{beta!r},"

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import contains
-from .sampling import sample_feasible_in_ball
 
 __all__ = [
     "InterpolationSet",
@@ -26,10 +25,6 @@ __all__ = [
     "build_design_matrix",
     "fit_regression_model",
     "eval_regression_lagrange",
-    "regression_accuracy_constants",
-    "FullyLinearReport",
-    "fully_linear_report",
-    "check_fully_linear_bounds",
 ]
 
 
@@ -241,89 +236,3 @@ def eval_regression_lagrange(basis, t, y):
     if not 0 <= t < basis.npoints:
         raise IndexError(f"polynomial index {t} out of range")
     return float(basis.lagrange_values(y)[t])
-
-
-def regression_accuracy_constants(p, lam, lipschitz, beta):
-    """Model-error constants guaranteed by poised regression geometry.
-
-    Returns ``(kappa_ef, kappa_eg)`` for the function-error bound
-    ``|f - m| <= kappa_ef * delta^2`` over feasible steps of length <= delta
-    and the directional gradient bound
-    ``|(grad f(x) - g)^T d| <= kappa_eg * delta`` over feasible unit steps.
-    """
-    kappa_eg = p * lam * lipschitz * beta**2
-    kappa_ef = kappa_eg + lipschitz / 2.0
-    return kappa_ef, kappa_eg
-
-
-@dataclass
-class FullyLinearReport:
-    """Observed-vs-guaranteed accuracy ratios from feasible sampling."""
-
-    kappa_ef: float
-    kappa_eg: float
-    max_ratio_f: float
-    max_ratio_g: float
-    samples_f: int
-    samples_g: int
-
-    @property
-    def max_ratio(self):
-        return max(self.max_ratio_f, self.max_ratio_g)
-
-    @property
-    def violated(self):
-        return self.max_ratio > 1.0
-
-
-def _ratio(observed, bound, scale):
-    if bound > 0.0:
-        return observed / bound
-    return 0.0 if observed <= 1e-10 * (1.0 + scale) else np.inf
-
-
-def fully_linear_report(model, f, grad, region, x, delta, kappa_ef, kappa_eg,
-                        n_samples=1000, rng=None):
-    """Sample-based check of the two accuracy bounds for any model.
-
-    Draws feasible points in ``B(x, delta)`` for the function-error bound
-    and in ``B(x, 1)`` for the directional gradient bound, and reports the
-    worst observed/(guaranteed bound) ratios.  Report-only: ratios above 1
-    mean the claimed constants do not cover this model.
-    """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    x = np.asarray(x, dtype=float)
-
-    ys = sample_feasible_in_ball(rng, region, x, delta, n_samples)
-    fvals = np.array([f(y) for y in ys])
-    err_f = np.abs(fvals - model.values(ys))
-    ratio_f = _ratio(float(np.max(err_f)), kappa_ef * delta**2, float(np.max(np.abs(fvals))))
-
-    zs = sample_feasible_in_ball(rng, region, x, 1.0, n_samples)
-    gap = np.asarray(grad(x), float) - model.grad(x)
-    err_g = np.abs((zs - x) @ gap)
-    ratio_g = _ratio(float(np.max(err_g)), kappa_eg * delta, float(np.linalg.norm(gap)))
-
-    return FullyLinearReport(
-        kappa_ef=float(kappa_ef),
-        kappa_eg=float(kappa_eg),
-        max_ratio_f=float(ratio_f),
-        max_ratio_g=float(ratio_g),
-        samples_f=len(ys),
-        samples_g=len(zs),
-    )
-
-
-def check_fully_linear_bounds(iset, model, f, grad, lipschitz, lam, beta, region,
-                              n_samples=1000, rng=None):
-    """Accuracy-ratio report for a regression model on a poised set.
-
-    Uses the regression constants from :func:`regression_accuracy_constants`
-    with the supplied poisedness level ``lam`` and displacement bound
-    ``beta``; the set is assumed certified at those values.
-    """
-    kappa_ef, kappa_eg = regression_accuracy_constants(iset.npoints, lam, lipschitz, beta)
-    return fully_linear_report(
-        model, f, grad, region, iset.base, iset.radius, kappa_ef, kappa_eg,
-        n_samples=n_samples, rng=rng,
-    )

@@ -7,6 +7,8 @@ checked by maximizing |l_t| with a multi-start projected-gradient ascent;
 a found violation is always genuine, while certification quality rests on
 the start coverage (interpolation points, axis points, random feasible
 points) plus an independent grid cross-check in the tests.
+:func:`check_poisedness` is the one place where such a sweep becomes a
+certificate.
 
 Two constructive procedures are provided:
 
@@ -14,14 +16,14 @@ Two constructive procedures are provided:
   cross points (ignoring the region), then replaces each infeasible point
   by a feasible one at which its own Lagrange polynomial is nonzero, which
   keeps the interpolation system invertible throughout.
-* :func:`improve_to_poised` repeatedly swaps out the point whose Lagrange
-  polynomial violates the level most, each swap multiplying |det F| by at
-  least Lambda^2, which forces termination.
+* :func:`improve_to_poised` checks the set and, while the certificate
+  shows a polynomial above Lambda, swaps its point for the witness; each
+  swap multiplies |det F| by at least Lambda^2, which forces termination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +75,6 @@ class SubsolverStats:
 
     starts: int = 0
     iterations: int = 0
-    best_values: list = field(default_factory=list)
 
 
 @dataclass
@@ -263,31 +264,20 @@ def maximize_abs_lagrange(system, t, region, x=None, delta=None, early_exit_at=N
     return float(values[0]), points[0]
 
 
-def _sweep(system, region, x, r, rng, early_exit_at=None, skip_bounded_at=None):
-    """Maximize every Lagrange polynomial; returns (values, points, stats)."""
-    starts = _ascent_starts(system, region, x, r, rng)
-    p = system.npoints
-    stack = _StackedQuadratics([system.lagrange_polynomial(t) for t in range(p)])
-    values, points, iterations = _ascend_stacked(
-        stack, p, starts, region, x, r,
-        early_exit_at=early_exit_at, skip_bounded_at=skip_bounded_at,
-    )
-    stats = SubsolverStats(
-        starts=len(starts), iterations=iterations, best_values=[float(v) for v in values]
-    )
-    return values, points, stats
+def _misplaced(points, region, x, radius):
+    """Why some point is out of place around ``x``; ``""`` when none is.
 
-
-def _geometry_ok(system, region, x, r, beta):
-    dists = np.linalg.norm(system.points - x, axis=1)
-    # Slack relative to r, plus the rounding of stored coordinates of size ||x||.
+    A point is misplaced outside B(x, radius), up to a slack relative to the
+    radius plus the rounding of stored coordinates of size ||x||, or outside
+    the region at the default membership tolerance.
+    """
+    dists = np.linalg.norm(points - x, axis=1)
     rounding = np.finfo(float).eps * np.linalg.norm(x)
-    if np.any(dists > beta * r * (1.0 + GEOMETRY_SLACK) + rounding):
-        return False, "point outside beta * min(radius, 1) ball"
-    for y in system.points:
-        if not contains(region, y, 1e-9 * (1.0 + float(np.linalg.norm(y)))):
-            return False, "infeasible interpolation point"
-    return True, ""
+    if np.any(dists > radius * (1.0 + GEOMETRY_SLACK) + rounding):
+        return "point outside beta * min(radius, 1) ball"
+    if not all(contains(region, y) for y in points):
+        return "infeasible interpolation point"
+    return ""
 
 
 def check_poisedness(system, region, lam, beta=1.0, x=None, delta=None, rng=None,
@@ -296,8 +286,16 @@ def check_poisedness(system, region, lam, beta=1.0, x=None, delta=None, rng=None
 
     Works for both quadratic interpolation systems and regression bases
     (the regression notion additionally requires the displacements to span,
-    which is the basis' nondegeneracy flag).  Verification requires the
-    geometry bounds and no Lagrange polynomial found above ``lam``.
+    which is the basis' nondegeneracy flag).  Verification requires no
+    point misplaced (outside B(x, beta * min(radius, 1)) or infeasible) and
+    no Lagrange polynomial found above ``lam``.
+
+    Every polynomial is maximized over the feasible search ball, except
+    those whose interval bound on the ball is already at most ``lam``: they
+    cannot exceed ``lam`` and keep their best start value.  So with
+    ``early_exit=False`` the observed level is exact (the full sweep's
+    maximum) whenever it exceeds ``lam``.  With ``early_exit`` the sweep
+    stops at the first value above ``lam``.
     """
     if lam < 1.0:
         raise ValueError("poisedness level must be at least 1")
@@ -313,15 +311,17 @@ def check_poisedness(system, region, lam, beta=1.0, x=None, delta=None, rng=None
             verified=False,
             reason="singular interpolation system",
         )
-    ok, why = _geometry_ok(system, region, x, r, beta)
-    values, points, stats = _sweep(
-        system, region, x, r, rng,
-        early_exit_at=lam if early_exit else None,
-        skip_bounded_at=lam if early_exit else None,
+    why = _misplaced(system.points, region, x, beta * r)
+    starts = _ascent_starts(system, region, x, r, rng)
+    p = system.npoints
+    stack = _StackedQuadratics([system.lagrange_polynomial(t) for t in range(p)])
+    values, points, iterations = _ascend_stacked(
+        stack, p, starts, region, x, r,
+        early_exit_at=lam if early_exit else None, skip_bounded_at=lam,
     )
     worst = int(np.argmax(values))
     lam_obs = float(values[worst])
-    verified = ok and lam_obs <= lam
+    verified = not why and lam_obs <= lam
     return PoisednessCertificate(
         lambda_observed=lam_obs,
         witness_index=worst,
@@ -329,7 +329,7 @@ def check_poisedness(system, region, lam, beta=1.0, x=None, delta=None, rng=None
         verified=verified,
         reason="" if verified else (why or f"Lagrange polynomial above {lam}"),
         per_polynomial=values,
-        stats=stats,
+        stats=SubsolverStats(starts=len(starts), iterations=iterations),
     )
 
 
@@ -401,13 +401,14 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
     """Produce a set poised at level ``lam`` inside the feasible ball.
 
     Reinitializes (via :func:`initial_invertible_set`) when no set is
-    given, or the given one has the wrong size, a singular system, a point
-    outside B(x, min(delta, 1)), or an infeasible point.  Then greedily
-    swaps the worst Lagrange violation until none exceeds ``lam``; each
-    swap multiplies |det F| by at least ``lam^2``, logged with predicted
-    and recomputed determinants.
+    given, or the given one has the wrong size, a singular system or a
+    misplaced point (the certificate's test, in B(x, min(delta, 1))).
+    Then checks the set without early exit and swaps the witness
+    polynomial's point for its witness point until the observed level is
+    at most ``lam``; each swap multiplies |det F| by at least ``lam^2``,
+    logged with predicted and recomputed determinants.
 
-    Returns ``(set, certificate, swap_log)``.
+    Returns ``(set, certificate of the last check, swap_log)``.
     """
     if not lam > 1.0:
         raise ValueError("improvement requires a poisedness level above 1")
@@ -418,44 +419,29 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
     r = min(delta, 1.0)
     cap = max_swaps if max_swaps is not None else 100 * p
 
-    system = None
-    needs_init = iset is None or iset.npoints != p or iset.dimension != x.size
-    if not needs_init:
+    work = None
+    if iset is not None and iset.npoints == p and iset.dimension == x.size:
         work = InterpolationSet(x, delta, iset.points.copy())
         system = assemble_system(work, require_invertible=False)
-        dists = np.linalg.norm(work.points - x, axis=1)
-        needs_init = (
-            not system.invertible
-            or float(np.max(dists, initial=0.0)) > r * (1.0 + GEOMETRY_SLACK)
-            or not work.feasible(region)
-        )
-    if needs_init:
+        if not system.invertible or _misplaced(work.points, region, x, r):
+            work = None
+    if work is None:
         work = initial_invertible_set(region, x, delta, p, rng=rng)
         system = assemble_system(work)
 
     swap_log = []
     while True:
-        values, points, stats = _sweep(system, region, x, r, rng, skip_bounded_at=lam)
-        worst = int(np.argmax(values))
-        if values[worst] <= lam:
-            ok, why = _geometry_ok(system, region, x, r, 1.0)
-            cert = PoisednessCertificate(
-                lambda_observed=float(values[worst]),
-                witness_index=worst,
-                witness_point=points[worst],
-                verified=ok,
-                reason="" if ok else why,
-                per_polynomial=values,
-                stats=stats,
-            )
+        cert = check_poisedness(system, region, lam, x=x, delta=delta, rng=rng,
+                                early_exit=False)
+        if cert.lambda_observed <= lam:
             return work, cert, swap_log
         if len(swap_log) >= cap:
             raise PoisednessImprovementError(
                 f"poisedness improvement did not settle within {cap} swaps "
-                f"(worst |l_t| = {values[worst]:.3e})",
+                f"(worst |l_t| = {cert.lambda_observed:.3e})",
                 swap_log,
             )
-        y_new = points[worst]
+        worst, y_new = cert.witness_index, cert.witness_point
         if not region.is_member(y_new):  # rounding left it just outside
             y_new = x + shrink_into(region, x, y_new - x)
         predicted = det_after_point_swap(system, worst, y_new)
@@ -465,7 +451,7 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
             SwapRecord(
                 index=worst,
                 point=y_new,
-                lagrange_value=float(values[worst]),
+                lagrange_value=cert.lambda_observed,
                 predicted_det=predicted,
                 actual_det=system.det,
             )

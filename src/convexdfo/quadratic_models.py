@@ -37,8 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linear_models import fully_linear_report
-
 __all__ = [
     "QuadraticModel",
     "MfnSystem",
@@ -49,9 +47,6 @@ __all__ = [
     "fit_mfn_model",
     "eval_mfn_lagrange",
     "det_after_point_swap",
-    "hessian_rayleigh_bound",
-    "mfn_accuracy_constants",
-    "check_fully_linear_bounds",
 ]
 
 # F is declared singular when an LU pivot falls below this fraction of the
@@ -343,36 +338,3 @@ def det_after_point_swap(system, t, y_new):
     if not 0 <= t < system.npoints:
         raise IndexError(f"point index {t} out of range")
     return system.det.scaled_by(det_swap_factor(system, t, y_new))
-
-
-def hessian_rayleigh_bound(p, lam, lipschitz, beta):
-    """Bound on displacement-direction Hessian quotients for poised geometry.
-
-    For a set poised at level ``lam`` with displacement bound ``beta``, the
-    model Hessian satisfies
-    ``|(y_s-x)^T H (y_t-x)| <= kappa_H * beta^2 * min(delta,1)^2`` with this
-    ``kappa_H``.
-    """
-    return lipschitz * p * (8.0 * lam * beta**2 + 36.0 * lam * beta + 58.0 * lam + 6.0)
-
-
-def mfn_accuracy_constants(p, lam, lipschitz, beta):
-    """Model-error constants guaranteed by poised quadratic interpolation.
-
-    Returns ``(kappa_ef, kappa_eg)`` for the same two bounds as the
-    regression constants, with the Hessian term folded in.
-    """
-    kappa_h = hessian_rayleigh_bound(p, lam, lipschitz, beta)
-    kappa_eg = p**1.5 * lam * (lipschitz + kappa_h) * beta**2
-    kappa_ef = 0.5 * lipschitz + 1.5 * kappa_eg + 0.5 * p * lam**2 * kappa_h * beta**2
-    return kappa_ef, kappa_eg
-
-
-def check_fully_linear_bounds(iset, model, f, grad, lipschitz, lam, beta, region,
-                              n_samples=1000, rng=None):
-    """Accuracy-ratio report for a quadratic model on a poised set."""
-    kappa_ef, kappa_eg = mfn_accuracy_constants(iset.npoints, lam, lipschitz, beta)
-    return fully_linear_report(
-        model, f, grad, region, iset.base, iset.radius, kappa_ef, kappa_eg,
-        n_samples=n_samples, rng=rng,
-    )

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from convexdfo import accuracy as acc
 from convexdfo import geometry as geo
 from convexdfo import linear_models as lm
 from convexdfo import poisedness as po
@@ -229,17 +230,19 @@ def _bound_suite(rng, problem_name, n_sets, samples):
         values = np.array([problem.f(y) for y in iset.points])
 
         model = qm.fit_mfn_model(system, values)
-        rep = qm.check_fully_linear_bounds(
-            iset, model, problem.f, problem.grad, lipschitz, lam, 1.0, region,
+        rep = acc.fully_linear_report(
+            model, problem.f, problem.grad, region, iset.base, iset.radius,
+            *acc.mfn_accuracy_constants(iset.npoints, lam, lipschitz, 1.0),
             n_samples=samples, rng=rng,
         )
         worst = max(worst, rep.max_ratio)
 
         basis = lm.build_design_matrix(iset)
         reg_model = lm.fit_regression_model(basis, values)
-        rep2 = lm.check_fully_linear_bounds(
-            iset, reg_model, problem.f, problem.grad, lipschitz,
-            np.sqrt(p) * lam, 1.0, region, n_samples=samples, rng=rng,
+        rep2 = acc.fully_linear_report(
+            reg_model, problem.f, problem.grad, region, iset.base, iset.radius,
+            *acc.regression_accuracy_constants(iset.npoints, np.sqrt(p) * lam, lipschitz, 1.0),
+            n_samples=samples, rng=rng,
         )
         worst = max(worst, rep2.max_ratio)
     return worst
@@ -269,13 +272,17 @@ def test_criterion_7_fully_linear_bound_suites():
     values = np.array([problem.f(y) for y in cluster.points])
     reg_model = lm.fit_regression_model(basis, values)
     beta = cluster.displacement_bound
-    honest = lm.check_fully_linear_bounds(
-        cluster, reg_model, problem.f, problem.grad, problem.lipschitz_grad,
-        lam_reg, beta, region, n_samples=1000, rng=rng,
+    honest = acc.fully_linear_report(
+        reg_model, problem.f, problem.grad, region, cluster.base, cluster.radius,
+        *acc.regression_accuracy_constants(
+            cluster.npoints, lam_reg, problem.lipschitz_grad, beta),
+        n_samples=1000, rng=rng,
     )
-    halved = lm.check_fully_linear_bounds(
-        cluster, reg_model, problem.f, problem.grad, 0.5 * problem.lipschitz_grad,
-        lam_reg, beta, region, n_samples=1000, rng=rng,
+    halved = acc.fully_linear_report(
+        reg_model, problem.f, problem.grad, region, cluster.base, cluster.radius,
+        *acc.regression_accuracy_constants(
+            cluster.npoints, lam_reg, 0.5 * problem.lipschitz_grad, beta),
+        n_samples=1000, rng=rng,
     )
     assert honest.max_ratio <= 1.0, f"honest control ratio {honest.max_ratio:.3f}"
     assert halved.violated, f"halved-L control not flagged ({halved.max_ratio:.3f})"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convexdfo import accuracy as acc
 from convexdfo import geometry as geo
 from convexdfo import linear_models as lm
 from convexdfo import poisedness
@@ -136,9 +137,10 @@ class TestFullyLinearBounds:
         g_true = np.array([1.0, -2.0])
         values = iset.points @ g_true + 0.3
         model = lm.fit_regression_model(lm.build_design_matrix(iset), values)
-        report = lm.check_fully_linear_bounds(
-            iset, model, lambda y: y @ g_true + 0.3, lambda y: g_true,
-            lipschitz=0.0, lam=2.0, beta=1.0, region=region, rng=rng,
+        report = acc.fully_linear_report(
+            model, lambda y: y @ g_true + 0.3, lambda y: g_true, region,
+            iset.base, iset.radius,
+            *acc.regression_accuracy_constants(iset.npoints, 2.0, 0.0, 1.0), rng=rng,
         )
         assert report.max_ratio_f == 0.0 and report.max_ratio_g == 0.0
         assert not report.violated
@@ -158,9 +160,9 @@ class TestFullyLinearBounds:
         model = lm.fit_regression_model(lm.build_design_matrix(iset), values)
         # quadratic-level certificate transfers to regression with sqrt(p)
         lam_reg = np.sqrt(iset.npoints) * 2.0
-        report = lm.check_fully_linear_bounds(
-            iset, model, f, grad, lipschitz=2.0, lam=lam_reg, beta=1.0,
-            region=region, rng=rng,
+        report = acc.fully_linear_report(
+            model, f, grad, region, iset.base, iset.radius,
+            *acc.regression_accuracy_constants(iset.npoints, lam_reg, 2.0, 1.0), rng=rng,
         )
         assert report.max_ratio_f <= 1.0
         assert report.max_ratio_g <= 1.0
@@ -175,9 +177,9 @@ class TestFullyLinearBounds:
 
         values = np.array([f(y) for y in iset.points])
         model = lm.fit_regression_model(lm.build_design_matrix(iset), values)
-        report = lm.check_fully_linear_bounds(
-            iset, model, f, lambda y: 2.0 * np.asarray(y), lipschitz=2e-4,
-            lam=2.0, beta=1.0, region=region, rng=rng,
+        report = acc.fully_linear_report(
+            model, f, lambda y: 2.0 * np.asarray(y), region, iset.base, iset.radius,
+            *acc.regression_accuracy_constants(iset.npoints, 2.0, 2e-4, 1.0), rng=rng,
         )
         assert report.violated
 

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,9 +127,8 @@ class TestCheckPoisedness:
         points = x + ratios[:, None] * dirs
         scale = 10.0 ** log_scale
         region = geo.WholeSpace(n)
-        ok, _ = po._geometry_ok(SimpleNamespace(points=points), region, x, 1.0, 1.0)
-        scaled = SimpleNamespace(points=x + scale * (points - x))
-        ok_scaled, _ = po._geometry_ok(scaled, region, x, scale, 1.0)
+        ok = not po._misplaced(points, region, x, 1.0)
+        ok_scaled = not po._misplaced(x + scale * (points - x), region, x, scale)
         assert ok == ok_scaled == bool(np.all(ratios < 1.0))
 
     def test_geometry_bound_at_smallest_radius(self):
@@ -139,6 +136,7 @@ class TestCheckPoisedness:
         r, x = 1e-8, np.array([0.3, -0.2])
         iset = po.initial_invertible_set(geo.WholeSpace(2), x, r, 6, rng=0)
         far = iset.replace_point(1, x + np.array([1.05 * r, 0.0]))
+        assert "outside" in po._misplaced(far.points, geo.WholeSpace(2), x, r)
         cert = po.check_poisedness(qm.assemble_system(far), geo.WholeSpace(2), 10.0,
                                    delta=r, rng=0)
         assert not cert.verified
@@ -286,3 +284,47 @@ class TestImproveToPoised:
         system = qm.assemble_system(improved)
         grid = grid_lagrange_max(system, region, center, 0.8)
         assert grid.max() <= 2.0 + 1e-3
+
+    def test_certificate_is_check_poisedness(self):
+        # At lam = 1.5 the sweep ascends on one polynomial of this set and
+        # skips the others, whose bound on the ball is below the level; the
+        # certificate must be the one check_poisedness builds for that sweep.
+        region = geo.Box([-1.0, -1.0], [1.0, 1.0])
+        x, delta, lam = np.array([0.1, -0.2]), 0.5, 1.5
+        iset = po.initial_invertible_set(region, x, delta, 6, rng=0)
+        system = qm.assemble_system(iset)
+        stack = po._StackedQuadratics([system.lagrange_polynomial(t) for t in range(6)])
+        skipped = stack.abs_bound_on_ball(delta) <= lam
+        assert skipped.any() and not skipped.all()
+        expected = po.check_poisedness(system, region, lam, x=x, delta=delta,
+                                       rng=np.random.default_rng(3), early_exit=False)
+        got, cert, swaps = po.improve_to_poised(iset, region, x, delta, 6, lam,
+                                                rng=np.random.default_rng(3))
+        assert swaps == []
+        np.testing.assert_array_equal(got.points, iset.points)
+        np.testing.assert_array_equal(cert.per_polynomial, expected.per_polynomial)
+        np.testing.assert_array_equal(cert.witness_point, expected.witness_point)
+        assert cert.lambda_observed == expected.lambda_observed
+        assert cert.witness_index == expected.witness_index
+        assert cert.verified == expected.verified
+        assert cert.reason == expected.reason
+        assert cert.stats == expected.stats
+
+    def test_rounded_pattern_is_not_rebuilt(self, monkeypatch):
+        # At r = 2^-27 around ||x|| = 0.43 the diagonal pattern point rounds
+        # beyond r (1 + GEOMETRY_SLACK), within the rounding of stored
+        # coordinates: the set is in place and must be kept, not rebuilt.
+        x, r = np.array([0.22368421, -0.36842105]), 2.0**-27
+        iset = InterpolationSet(x, r, po.structured_initial_points(x, r, 6))
+        dists = np.linalg.norm(iset.points - x, axis=1)
+        slack = r * (1.0 + po.GEOMETRY_SLACK)
+        assert slack < np.max(dists) <= slack + np.finfo(float).eps * np.linalg.norm(x)
+        calls = []
+        original = po.initial_invertible_set
+        monkeypatch.setattr(po, "initial_invertible_set",
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        got, cert, swaps = po.improve_to_poised(iset, geo.WholeSpace(2), x, r, 6, 10.0, rng=0)
+        assert calls == []
+        assert swaps == []
+        np.testing.assert_array_equal(got.points, iset.points)
+        assert cert.verified

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convexdfo import accuracy as acc
 from convexdfo import geometry as geo
 from convexdfo import poisedness
 from convexdfo import quadratic_models as qm
@@ -274,7 +275,7 @@ class TestHessianRayleighBound:
             beta = iset.displacement_bound
             values = np.array([f(y) for y in iset.points])
             model = qm.fit_mfn_model(system, values)
-            kappa_h = qm.hessian_rayleigh_bound(iset.npoints, lam_hat, lipschitz, beta)
+            kappa_h = acc.hessian_rayleigh_bound(iset.npoints, lam_hat, lipschitz, beta)
             D = iset.points - iset.base
             rayleigh = np.max(np.abs(D @ model.H @ D.T))
             assert rayleigh <= kappa_h * beta**2 * min(delta, 1.0) ** 2
@@ -283,9 +284,9 @@ class TestHessianRayleighBound:
 class TestAccuracyConstants:
     def test_mfn_constants_formula(self):
         p, lam, lipschitz, beta = 6, 2.0, 3.0, 1.0
-        kappa_h = qm.hessian_rayleigh_bound(p, lam, lipschitz, beta)
+        kappa_h = acc.hessian_rayleigh_bound(p, lam, lipschitz, beta)
         assert kappa_h == pytest.approx(3.0 * 6 * (16.0 + 72.0 + 116.0 + 6.0))
-        kappa_ef, kappa_eg = qm.mfn_accuracy_constants(p, lam, lipschitz, beta)
+        kappa_ef, kappa_eg = acc.mfn_accuracy_constants(p, lam, lipschitz, beta)
         assert kappa_eg == pytest.approx(6**1.5 * 2.0 * (3.0 + kappa_h))
         assert kappa_ef == pytest.approx(1.5 + 1.5 * kappa_eg + 0.5 * 6 * 4.0 * kappa_h)
 
@@ -301,8 +302,8 @@ class TestAccuracyConstants:
 
         values = np.array([f(y) for y in iset.points])
         model = qm.fit_mfn_model(system, values)
-        report = qm.check_fully_linear_bounds(
-            iset, model, f, lambda y: 2.0 * np.asarray(y), lipschitz=2.0,
-            lam=2.0, beta=1.0, region=region, rng=rng,
+        report = acc.fully_linear_report(
+            model, f, lambda y: 2.0 * np.asarray(y), region, iset.base, iset.radius,
+            *acc.mfn_accuracy_constants(iset.npoints, 2.0, 2.0, 1.0), rng=rng,
         )
         assert report.max_ratio_f <= 1.0 and report.max_ratio_g <= 1.0
