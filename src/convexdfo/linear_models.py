@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import contains
-
 __all__ = [
     "InterpolationSet",
     "LinearModel",
@@ -92,8 +90,9 @@ class InterpolationSet:
         """Same points, new base and radius (used when the solver recenters)."""
         return InterpolationSet(base, radius, self.points.copy(), self.values)
 
-    def feasible(self, region, tol=1e-9):
-        return all(contains(region, y, tol) for y in self.points)
+    def feasible(self, region):
+        """Whether every point is an exact member of ``region``."""
+        return all(region.is_member(y) for y in self.points)
 
 
 @dataclass
@@ -168,6 +167,13 @@ class RegressionBasis:
     def lagrange_polynomial(self, t):
         col = self.lagrange_coeffs[:, t]
         return LinearModel(float(col[0]), col[1:].copy(), self.base)
+
+    def stacked_lagrange(self, ts=slice(None)):
+        """``(c, g, None)`` of the Lagrange polynomials ``ts`` (all by
+        default), stacked along the first axis; they are affine, so there
+        is no Hessian."""
+        coeffs = self.lagrange_coeffs[:, ts]
+        return coeffs[0], np.ascontiguousarray(coeffs[1:].T), None
 
     def lagrange_values(self, y):
         """All p Lagrange polynomial values at one point ``y``."""

@@ -10,6 +10,12 @@ points) plus an independent grid cross-check in the tests.
 :func:`check_poisedness` is the one place where such a sweep becomes a
 certificate.
 
+A sweep ascends all p polynomials together, one state row per
+(polynomial, sign, start).  Their coefficients come from the system in one
+batched build, and the products H_t d gather Hessians for a bounded chunk
+of rows at a time, so a sweep's memory is O(rows * n) on top of the p
+stored Hessians.
+
 Two constructive procedures are provided:
 
 * :func:`initial_invertible_set` places a structured pattern of axis and
@@ -55,6 +61,8 @@ PROJECTED_GRADIENT_TOL = 1e-8
 # Floating-point reading of "nonzero Lagrange value" for replacements.
 REPLACEMENT_TOL = 1e-8
 GEOMETRY_SLACK = 1e-9
+# Bytes of per-row Hessians one H_t d product may gather at a time.
+_GATHER_BYTES = 1 << 20
 
 
 class PoisednessImprovementError(RuntimeError):
@@ -71,10 +79,14 @@ class ThinRegionError(RuntimeError):
 
 @dataclass
 class SubsolverStats:
-    """Bookkeeping from the Lagrange maximization subsolver."""
+    """Bookkeeping from the Lagrange maximization subsolver: start points,
+    ascent rounds, state rows (polynomial, sign, start) and polynomials
+    skipped (held at their best start value by the interval bound)."""
 
     starts: int = 0
     iterations: int = 0
+    rows: int = 0
+    skipped: int = 0
 
 
 @dataclass
@@ -127,39 +139,59 @@ def _ascent_starts(system, region, x, r, rng):
 
 
 class _StackedQuadratics:
-    """Several quadratics with a shared base, evaluated per-row by index."""
+    """Lagrange polynomials ``ts`` of one system, evaluated per row by index.
 
-    def __init__(self, polys):
-        self.base = polys[0].base
-        self.c = np.array([q.c for q in polys])
-        self.g = np.array([q.g for q in polys])
-        self.H = np.array([q.hessian() for q in polys])
+    Built in one batched step by the system's ``stacked_lagrange`` (no
+    Hessian for affine regression polynomials).  Each H_t d product gathers
+    at most ``_GATHER_BYTES`` of Hessians, never a (rows, n, n) array.
+    """
+
+    def __init__(self, system, ts=slice(None)):
+        self.base = system.base
+        self.c, self.g, self.H = system.stacked_lagrange(ts)
+
+    def _hess_times(self, D, which):
+        # The same gathered einsum on each chunk of rows gives the same
+        # bits as on all rows at once (a BLAS product D @ H_t does not).
+        chunk = max(1, _GATHER_BYTES // self.H[0].nbytes)
+        if len(D) <= chunk:
+            return np.einsum("rij,rj->ri", self.H[which], D)
+        return np.concatenate([self._hess_times(D[lo:lo + chunk], which[lo:lo + chunk])
+                               for lo in range(0, len(D), chunk)])
 
     def values(self, Y, which):
         D = Y - self.base
-        Hd = np.einsum("rij,rj->ri", self.H[which], D)
-        return self.c[which] + np.einsum("ri,ri->r", D, self.g[which] + 0.5 * Hd)
+        G = self.g[which]
+        if self.H is not None:
+            G = G + 0.5 * self._hess_times(D, which)
+        return self.c[which] + np.einsum("ri,ri->r", D, G)
 
     def grads(self, Y, which):
-        D = Y - self.base
-        return self.g[which] + np.einsum("rij,rj->ri", self.H[which], D)
+        G = self.g[which]
+        if self.H is not None:
+            G = G + self._hess_times(Y - self.base, which)
+        return G
 
     def abs_bound_on_ball(self, r):
         """Per-polynomial upper bound for |value| on B(base, r)."""
         gnorm = np.sqrt(np.einsum("ti,ti->t", self.g, self.g))
-        hnorm = np.array([np.max(np.abs(np.linalg.eigvalsh(h))) for h in self.H])
-        return np.abs(self.c) + gnorm * r + 0.5 * hnorm * r**2
+        bound = np.abs(self.c) + gnorm * r
+        if self.H is not None:
+            hnorm = np.max(np.abs(np.linalg.eigvalsh(self.H)), axis=1)
+            bound = bound + 0.5 * hnorm * r**2
+        return bound
 
 
-def _ascend_stacked(stack, npolys, starts, region, x, r, early_exit_at=None,
+def _ascend_stacked(stack, starts, region, x, r, early_exit_at=None,
                     skip_bounded_at=None):
     """Multi-start projected-gradient ascent on |l_t| for all t at once.
 
     One ascent state row per (polynomial, sign, start) triple, so every
     projection call covers the whole sweep.  Returns per-polynomial best
-    values and points plus the iteration count.  With ``early_exit_at``
-    set, stops as soon as any row exceeds it (a found violation is always
-    genuine; only the above/below answer is needed then).  With
+    values and points plus the :class:`SubsolverStats`.  With
+    ``early_exit_at`` set, stops as soon as any row exceeds it (a found
+    violation is always genuine; only the above/below answer is needed
+    then).  With
     ``skip_bounded_at``, polynomials whose interval bound on the search
     ball already sits below the threshold keep only their start values
     (they cannot cross the threshold, so their exact maxima are not
@@ -167,18 +199,20 @@ def _ascend_stacked(stack, npolys, starts, region, x, r, early_exit_at=None,
     """
     proj = TrustRegionProjector(region, x, r)
 
-    m = len(starts)
+    npolys, m = len(stack.c), len(starts)
     Y = np.tile(starts, (2 * npolys, 1))
     which = np.repeat(np.arange(npolys), 2 * m)
     signs = np.tile(np.repeat([1.0, -1.0], m), npolys)
     vals = signs * stack.values(Y, which)
     steps = np.full(len(Y), r)
     active = np.ones(len(Y), dtype=bool)
+    stats = SubsolverStats(starts=m, rows=len(Y))
     if skip_bounded_at is not None:
         # Displacements from the polynomial base stay within this radius.
         reach = r + float(np.linalg.norm(x - stack.base))
         bounded = stack.abs_bound_on_ball(reach) <= skip_bounded_at
         active &= ~bounded[which]
+        stats.skipped = int(np.count_nonzero(bounded))
 
     best_vals = np.full(npolys, -np.inf)
     best_pts = np.empty((npolys, x.size))
@@ -191,19 +225,18 @@ def _ascend_stacked(stack, npolys, starts, region, x, r, early_exit_at=None,
         best_pts[which[hits]] = Y[hits]
 
     record(np.arange(len(Y)))
-    iterations = 0
 
     for _ in range(MAX_ASCENT_ITERATIONS):
         if early_exit_at is not None and best_vals.max() > early_exit_at:
             break
-        if not np.any(active):
-            break
-        iterations += 1
-        if iterations > 30:
+        if stats.iterations >= 30:
             # Grace period over: drop rows clearly dominated within their
             # own polynomial (their basin has been covered by a better start).
             lagging = vals < best_vals[which] - 1e-4 * (1.0 + np.abs(best_vals[which]))
             active &= ~lagging
+        if not np.any(active):
+            break
+        stats.iterations += 1
         idx = np.flatnonzero(active)
         G = signs[idx, None] * stack.grads(Y[idx], which[idx])
         # Keep probe and candidate displacements within the search ball so
@@ -244,7 +277,7 @@ def _ascend_stacked(stack, npolys, starts, region, x, r, early_exit_at=None,
         steps[idx[~pending]] = np.minimum(steps[idx[~pending]] * 2.0, r)
         active[idx[pending]] = False
 
-    return best_vals, best_pts, iterations
+    return best_vals, best_pts, stats
 
 
 def maximize_abs_lagrange(system, t, region, x=None, delta=None, early_exit_at=None, rng=None):
@@ -257,9 +290,9 @@ def maximize_abs_lagrange(system, t, region, x=None, delta=None, early_exit_at=N
     x = system.base if x is None else np.asarray(x, float)
     r = _search_radius(system, delta)
     starts = _ascent_starts(system, region, x, r, rng)
-    stack = _StackedQuadratics([system.lagrange_polynomial(t)])
     values, points, _ = _ascend_stacked(
-        stack, 1, starts, region, x, r, early_exit_at=early_exit_at
+        _StackedQuadratics(system, [t]), starts, region, x, r,
+        early_exit_at=early_exit_at,
     )
     return float(values[0]), points[0]
 
@@ -313,10 +346,8 @@ def check_poisedness(system, region, lam, beta=1.0, x=None, delta=None, rng=None
         )
     why = _misplaced(system.points, region, x, beta * r)
     starts = _ascent_starts(system, region, x, r, rng)
-    p = system.npoints
-    stack = _StackedQuadratics([system.lagrange_polynomial(t) for t in range(p)])
-    values, points, iterations = _ascend_stacked(
-        stack, p, starts, region, x, r,
+    values, points, stats = _ascend_stacked(
+        _StackedQuadratics(system), starts, region, x, r,
         early_exit_at=lam if early_exit else None, skip_bounded_at=lam,
     )
     worst = int(np.argmax(values))
@@ -329,7 +360,7 @@ def check_poisedness(system, region, lam, beta=1.0, x=None, delta=None, rng=None
         verified=verified,
         reason="" if verified else (why or f"Lagrange polynomial above {lam}"),
         per_polynomial=values,
-        stats=SubsolverStats(starts=len(starts), iterations=iterations),
+        stats=stats,
     )
 
 

@@ -211,6 +211,22 @@ class MfnSystem:
             multipliers=lam.copy(),
         )
 
+    def stacked_lagrange(self, ts=slice(None)):
+        """``(c, g, H)`` of the Lagrange polynomials ``ts`` (all by default),
+        stacked along the first axis, in original coordinates.
+
+        One batched product builds every H_t = Z^T diag(lambda_t) Z; the
+        arithmetic per polynomial is that of :meth:`lagrange_polynomial`
+        (scale, then symmetrize), so the two agree bit for bit.
+        """
+        self._require_invertible()
+        p = self.npoints
+        sol = self.lagrange_solutions[:, ts]
+        lam = np.ascontiguousarray(sol[:p].T)
+        H = np.matmul(self.Z.T[None], lam[:, :, None] * self.Z) / self.scale**2
+        g = np.ascontiguousarray(sol[p + 1:].T) / self.scale
+        return sol[p], g, 0.5 * (H + H.transpose(0, 2, 1))
+
     def lagrange_values(self, y):
         """All p Lagrange polynomial values at ``y`` via e_t^T F^{-1} phi(y)."""
         self._require_invertible()

@@ -168,7 +168,7 @@ def test_criterion_5_initial_set_construction():
                 for delta in (0.5, 1.0, 3.0):
                     iset = po.initial_invertible_set(region, x, delta, p, rng=rng)
                     r = min(delta, 1.0)
-                    assert iset.feasible(region, 1e-9)
+                    assert iset.feasible(region)
                     dists = np.linalg.norm(iset.points - x, axis=1)
                     assert np.max(dists) <= r * (1 + 1e-9)
                     system = qm.assemble_system(iset, require_invertible=False)

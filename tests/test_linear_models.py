@@ -193,8 +193,10 @@ class TestInterpolationSet:
         region = geo.Box([0.0, 0.0], [1.0, 1.0])
         good = make_set([[0.2, 0.2], [0.5, 0.9]], base=[0.5, 0.5])
         bad = make_set([[0.2, 0.2], [1.5, 0.9]], base=[0.5, 0.5])
-        assert good.feasible(region, 1e-9)
-        assert not bad.feasible(region, 1e-9)
+        assert good.feasible(region)
+        assert not bad.feasible(region)
+        # Membership is exact: 5e-10 outside is outside.
+        assert not make_set([[0.2, 0.2], [1.0 + 5e-10, 0.9]], base=[0.5, 0.5]).feasible(region)
 
     def test_replace_point_is_functional(self):
         iset = make_set([[0.0], [1.0]], values=[5.0, 6.0])

@@ -1,12 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexdfo import geometry as geo
 from convexdfo import poisedness as po
 from convexdfo import quadratic_models as qm
 from convexdfo.linear_models import InterpolationSet, build_design_matrix
+from convexdfo.solver import SolverConfig, solve
 
 from oracles import dense_signed_logdet, grid_lagrange_max
 
@@ -19,6 +23,40 @@ def make_set(points, base, radius=1.0):
 def clustered_set(rng, center, p=6, spread=0.01, radius=1.0):
     pts = spread * rng.standard_normal((p, len(center))) + np.asarray(center, float)
     return make_set(pts, center, radius)
+
+
+def perturbed_pattern(rng, x, delta, p, spread):
+    """The structured pattern around ``x``, each point moved by spread * r."""
+    pts = po.structured_initial_points(x, delta, p)
+    return make_set(pts + spread * min(delta, 1.0) * rng.standard_normal(pts.shape),
+                    x, delta)
+
+
+class GatheredStack:
+    """Reference for ``po._StackedQuadratics``: one Lagrange polynomial
+    object per index, a (rows, n, n) gather of their Hessians in each
+    product and one ``eigvalsh`` call per Hessian."""
+
+    def __init__(self, system, ts=slice(None)):
+        polys = [system.lagrange_polynomial(t) for t in np.arange(system.npoints)[ts]]
+        self.base = polys[0].base
+        self.c = np.array([q.c for q in polys])
+        self.g = np.array([q.g for q in polys])
+        self.H = np.array([q.hessian() for q in polys])
+
+    def values(self, Y, which):
+        D = Y - self.base
+        Hd = np.einsum("rij,rj->ri", self.H[which], D)
+        return self.c[which] + np.einsum("ri,ri->r", D, self.g[which] + 0.5 * Hd)
+
+    def grads(self, Y, which):
+        D = Y - self.base
+        return self.g[which] + np.einsum("rij,rj->ri", self.H[which], D)
+
+    def abs_bound_on_ball(self, r):
+        gnorm = np.sqrt(np.einsum("ti,ti->t", self.g, self.g))
+        hnorm = np.array([np.max(np.abs(np.linalg.eigvalsh(h))) for h in self.H])
+        return np.abs(self.c) + gnorm * r + 0.5 * hnorm * r**2
 
 
 class TestMaximizeAbsLagrange:
@@ -142,6 +180,39 @@ class TestCheckPoisedness:
         assert not cert.verified
         assert "outside" in cert.reason
 
+    def test_pruned_out_sweep_runs_no_empty_round(self, monkeypatch):
+        # Here the prune after the 30-round grace period drops every row
+        # still active; the sweep must stop there, not run and count one
+        # more round (a gradient and a projection call) on no rows.
+        rng = np.random.default_rng(0)
+        system = qm.assemble_system(perturbed_pattern(rng, np.zeros(2), 1.0, 5, 0.2))
+        grad_rows = []
+        grads = po._StackedQuadratics.grads
+        monkeypatch.setattr(po._StackedQuadratics, "grads",
+                            lambda self, Y, which: grad_rows.append(len(Y)) or
+                            grads(self, Y, which))
+        cert = po.check_poisedness(system, geo.WholeSpace(2), 1.5, rng=0,
+                                   early_exit=False)
+        assert 0 not in grad_rows
+        assert cert.stats.iterations == len(grad_rows) == 30
+
+    def test_sweep_memory_is_linear_in_rows(self):
+        # n = 20, p = 41: 8,282 ascent rows.  A (rows, n, n) Hessian gather
+        # alone takes 26.5 MB.
+        n, p = 20, 41
+        x = np.full(n, 0.3)
+        system = qm.assemble_system(
+            perturbed_pattern(np.random.default_rng(0), x, 0.5, p, 0.1))
+        tracemalloc.start()
+        try:
+            cert = po.check_poisedness(system, geo.WholeSpace(n), 10.0, delta=0.5,
+                                       rng=0, early_exit=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+        assert cert.stats.rows == 2 * p * (p + 2 * n + po.N_RANDOM_STARTS)
+
     def test_regression_basis_dispatch(self, rng):
         region = geo.Box([-1.0, -1.0], [1.0, 1.0])
         iset = po.initial_invertible_set(region, np.zeros(2), 1.0, 6, rng=rng)
@@ -155,6 +226,67 @@ class TestCheckPoisedness:
         cert2 = po.check_poisedness(degenerate, region, 10.0, rng=rng)
         assert not cert2.verified
         assert cert2.reason == "singular interpolation system"
+
+
+class TestStackedQuadratics:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 20), extra=st.integers(0, 40), rows=st.integers(0, 60),
+           budget=st.sampled_from([1, 2000, po._GATHER_BYTES]),
+           regression=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=3, extra=2, rows=0, budget=1, regression=False, seed=0)
+    @example(n=3, extra=2, rows=1, budget=po._GATHER_BYTES, regression=False, seed=0)
+    @example(n=20, extra=20, rows=1, budget=1, regression=True, seed=0)
+    def test_matches_per_polynomial_reference(self, n, extra, rows, budget, regression,
+                                              seed):
+        # Any gather budget, either system kind, any sorted subset of rows
+        # (empty and single rows included): the same bits as the reference.
+        rng = np.random.default_rng(seed)
+        p = n + 2 + extra % n
+        x = rng.uniform(-1.0, 1.0, n)
+        delta = 10.0 ** rng.uniform(-3.0, 0.3)
+        iset = perturbed_pattern(rng, x, delta, p, 0.1)
+        system = build_design_matrix(iset) if regression else qm.assemble_system(iset)
+        which = np.sort(rng.integers(0, p, rows))
+        Y = x + min(delta, 1.0) * rng.standard_normal((rows, n))
+        t = int(rng.integers(p))
+        with mock.patch.object(po, "_GATHER_BYTES", budget):
+            for ts, w in ((slice(None), which), ([t], np.zeros(rows, dtype=int))):
+                got, ref = po._StackedQuadratics(system, ts), GatheredStack(system, ts)
+                np.testing.assert_array_equal(got.c, ref.c)
+                np.testing.assert_array_equal(got.g, ref.g)
+                if regression:
+                    assert got.H is None
+                else:
+                    np.testing.assert_array_equal(got.H, ref.H)
+                np.testing.assert_array_equal(got.values(Y, w), ref.values(Y, w))
+                np.testing.assert_array_equal(got.grads(Y, w), ref.grads(Y, w))
+                np.testing.assert_array_equal(got.abs_bound_on_ball(0.7),
+                                              ref.abs_bound_on_ball(0.7))
+
+    @pytest.mark.parametrize("n,region,x0,max_evals", [
+        (8, geo.WholeSpace(8), [0.3] * 8, 120),
+        (3, geo.Box([-0.5] * 3, [1.0] * 3), [0.8] * 3, 60),
+    ])
+    def test_solve_trajectory_matches_reference(self, monkeypatch, n, region, x0,
+                                                max_evals):
+        weights = np.arange(1.0, n + 1.0)
+
+        def trajectory():
+            points = []
+
+            def f(y):
+                points.append(np.array(y))
+                return float(0.5 * y @ (weights * y) + y.sum())
+
+            _, record = solve(f, region, np.array(x0),
+                              SolverConfig(seed=0, max_evals=max_evals))
+            return np.array(points), record.csv_text()
+
+        points, csv = trajectory()
+        monkeypatch.setattr(po, "_StackedQuadratics", GatheredStack)
+        ref_points, ref_csv = trajectory()
+        np.testing.assert_array_equal(points, ref_points)
+        assert csv == ref_csv
 
 
 class TestInitialInvertibleSet:
@@ -182,7 +314,7 @@ class TestInitialInvertibleSet:
         # x at the corner of [0, 2]^n: all minus-axis points are infeasible
         region = geo.Box([0.0] * n, [2.0] * n)
         iset = po.initial_invertible_set(region, np.zeros(n), 1.0, p, rng=rng)
-        assert iset.feasible(region, 1e-9)
+        assert iset.feasible(region)
         assert np.max(np.linalg.norm(iset.points - iset.base, axis=1)) <= 1.0 + 1e-9
         system = qm.assemble_system(iset)
         assert system.invertible
@@ -225,7 +357,7 @@ class TestImproveToPoised:
         )
         assert len(swaps) >= 1
         assert cert.verified
-        assert improved.feasible(region, 1e-9)
+        assert improved.feasible(region)
         system = qm.assemble_system(improved)
         grid = grid_lagrange_max(system, region, center, 1.0)
         assert grid.max() <= 2.0 + 1e-3
@@ -259,7 +391,7 @@ class TestImproveToPoised:
         # infeasible member also triggers reinitialization
         bad = make_set([[0, 0], [1, 0], [0, 1], [-0.5, 0], [0, 0.5], [0.5, 0.5]], x)
         improved2, cert2, _ = po.improve_to_poised(bad, region, x, 1.0, 6, 10.0, rng=rng)
-        assert cert2.verified and improved2.feasible(region, 1e-9)
+        assert cert2.verified and improved2.feasible(region)
 
     def test_level_must_exceed_one(self, rng):
         region = geo.Box([0.0, 0.0], [2.0, 2.0])
@@ -293,7 +425,7 @@ class TestImproveToPoised:
         x, delta, lam = np.array([0.1, -0.2]), 0.5, 1.5
         iset = po.initial_invertible_set(region, x, delta, 6, rng=0)
         system = qm.assemble_system(iset)
-        stack = po._StackedQuadratics([system.lagrange_polynomial(t) for t in range(6)])
+        stack = po._StackedQuadratics(system)
         skipped = stack.abs_bound_on_ball(delta) <= lam
         assert skipped.any() and not skipped.all()
         expected = po.check_poisedness(system, region, lam, x=x, delta=delta,
@@ -309,6 +441,8 @@ class TestImproveToPoised:
         assert cert.verified == expected.verified
         assert cert.reason == expected.reason
         assert cert.stats == expected.stats
+        assert cert.stats.skipped == np.count_nonzero(skipped)
+        assert cert.stats.rows == 2 * 6 * (6 + 2 * 2 + po.N_RANDOM_STARTS)
 
     def test_rounded_pattern_is_not_rebuilt(self, monkeypatch):
         # At r = 2^-27 around ||x|| = 0.43 the diagonal pattern point rounds
