@@ -1,9 +1,12 @@
 """Derivative-free trust-region driver over a convex feasible region.
 
 Each iteration builds an interpolation model on the current point set,
-measures model criticality, and either (a) shrinks the trust region and
-repairs the sample geometry when the model looks critical but cannot be
-trusted, or (b) takes a trust-region step and accepts or rejects it by the
+measures model criticality, and either (a) repairs the sample geometry when
+the model looks critical but cannot be trusted at the current radius,
+first cutting the radius of a fully linear model straight to ``mu * pi_m``
+(clamped between one ``gamma_dec`` step and a fixed fraction of the
+radius) so that one rebuild serves a whole criticality phase, or (b) takes
+a trust-region step and accepts or rejects it by the
 actual-versus-predicted reduction ratio.  Model accuracy ("fully linear"
 here) is operationalized as the poisedness certificate: the point set is
 poised at the configured level with every point inside the unit-capped
@@ -50,6 +53,10 @@ STEP_KINDS = ("criticality", "successful", "model-improving", "unsuccessful")
 
 CSV_COLUMNS = ("k", "f", "delta", "pi_m", "rho", "step_kind", "evals", "fully_linear")
 
+# Floor of the criticality cut as a fraction of the current radius: a
+# model with pi_m = 0 would otherwise send delta to 0 in one step.
+_CRITICALITY_FLOOR = 0.0625
+
 
 class BudgetExhausted(Exception):
     """Internal signal: the evaluation budget is spent."""
@@ -74,7 +81,10 @@ class SolverConfig:
     ``npoints`` defaults to 2n+1 (capped to the admissible range) at solve
     time.  ``poisedness`` is the geometry level Lambda used both to certify
     and to repair point sets; ``eps_criticality`` and ``mu`` gate the
-    criticality step; ``eta`` is the acceptance threshold.
+    criticality step, and ``mu * pi_m`` is also the radius that step cuts
+    a fully linear model's trust region to (clamped between one
+    ``gamma_dec`` step and a fixed fraction of the radius); ``eta`` is the
+    acceptance threshold.
     """
 
     delta0: float = 1.0
@@ -210,6 +220,16 @@ def _evaluate_set(oracle, iset, cache):
     return values, fresh
 
 
+def _criticality_radius(delta, pi_m, mu, gamma_dec):
+    """Radius after a fully linear criticality row: mu * pi_m, clamped.
+
+    The cut is at least one ``gamma_dec`` step and at most a fall to
+    ``_CRITICALITY_FLOOR * delta``, so the set is rebuilt once per
+    criticality phase rather than once per halving.
+    """
+    return min(gamma_dec * delta, max(mu * pi_m, _CRITICALITY_FLOOR * delta))
+
+
 def _swap_farthest(iset, values, center, trial, f_trial):
     """Replace the point farthest from ``center`` by the trial point."""
     dists = np.linalg.norm(iset.points - center, axis=1)
@@ -311,7 +331,8 @@ def solve(f, region, x0, config=None):
             if pi_m < config.eps_criticality and (
                 pi_m < delta / config.mu or not fully_linear
             ):
-                delta = config.gamma_dec * delta if fully_linear else delta
+                if fully_linear:
+                    delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec)
                 iset, values, cache = improve(iset, x, delta)
                 record.rows.append(IterationRow(
                     k, f_at_k, delta_at_k, pi_m, None, "criticality",

@@ -15,8 +15,10 @@ B(x, delta) well enough to satisfy the generalized Cauchy decrease
 
     m(x) - m(x+s) >= c1 * pi * min(pi / (1 + ||H||), delta, 1),
 
-via a backtracking search along the projected-gradient path followed by a
-few projected-gradient refinement steps with exact segment linesearch.
+via a search along the projected-gradient path that backtracks or
+extrapolates from ``gamma = delta / ||g||`` (extrapolation keeps the step
+from creeping along a curved boundary), followed by a few
+projected-gradient refinement steps with exact segment linesearch.
 """
 
 from __future__ import annotations
@@ -112,15 +114,51 @@ def _segment_minimize(model, y, d):
     return y + t * d
 
 
+def _cauchy_search(model, x, g, m_x, proj, delta, target):
+    """Phase 1: the best step on the projected-gradient path, and its decrease.
+
+    Backtracks from ``gamma = delta / ||g||`` until the Cauchy target holds
+    or extrapolates when the first trial already meets it: on a curved
+    boundary the path keeps moving along it as gamma grows.  A doubled step
+    is kept only while the decrease grows strictly and the step moves by
+    more than ``1e-12 * (delta + ||x||)``; on the whole space, where the
+    doubled step differs from the first by rounding alone, that keeps the
+    first.
+    """
+    gamma = delta / float(np.linalg.norm(g))
+    best_s, best_red = np.zeros_like(x), 0.0
+    for halvings in range(CAUCHY_HALVINGS):
+        s = proj(x - gamma * g) - x
+        red = m_x - model.value(x + s)
+        if red > best_red:
+            best_s, best_red = s, red
+        if red >= target:
+            break
+        gamma *= 0.5
+    if halvings == 0 and best_red >= target:
+        # x + s is rounded at the scale of ||x||: a smaller move is noise.
+        moved_tol = 1e-12 * (delta + float(np.linalg.norm(x)))
+        for _ in range(CAUCHY_HALVINGS):
+            gamma *= 2.0
+            s = proj(x - gamma * g) - x
+            red = m_x - model.value(x + s)
+            if red <= best_red or np.linalg.norm(s - best_s) <= moved_tol:
+                break
+            best_s, best_red = s, red
+    return best_s, best_red
+
+
 def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None):
     """Feasible step in B(x, delta) achieving generalized Cauchy decrease.
 
-    Phase 1 backtracks along the projected-gradient path
-    ``s(gamma) = proj(x - gamma g) - x`` from ``gamma = delta / ||g||``
-    until the Cauchy target holds (or 50 halvings).  Phase 2 polishes with
-    up to 10 projected-gradient steps, each accepted only if the model
-    value keeps decreasing.  The step is then shrunk, if need be, until
-    ``x + step`` as rounded is an exact member of the region (see
+    Phase 1 searches the projected-gradient path
+    ``s(gamma) = proj(x - gamma g) - x`` from ``gamma = delta / ||g||``:
+    it backtracks until the Cauchy target holds (or 50 halvings), or, when
+    the first trial already meets it, extrapolates by doubling gamma while
+    the model decrease keeps growing (see :func:`_cauchy_search`).  Phase 2
+    polishes with up to 10 projected-gradient steps, each accepted only if
+    the model value keeps decreasing.  The step is then shrunk, if need be,
+    until ``x + step`` as rounded is an exact member of the region (see
     :func:`~convexdfo.geometry.shrink_into`).  ``satisfied_cauchy`` records
     whether the decrease condition holds for the returned step.
     """
@@ -138,18 +176,7 @@ def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None):
     def proj(y):
         return tr_proj(y[None, :])[0]
 
-    # Phase 1: backtracking along the projected-gradient path.
-    gnorm = float(np.linalg.norm(g))
-    gamma = delta / gnorm
-    best_s, best_red = np.zeros_like(x), 0.0
-    for _ in range(CAUCHY_HALVINGS):
-        s = proj(x - gamma * g) - x
-        red = m_x - model.value(x + s)
-        if red > best_red:
-            best_s, best_red = s, red
-        if red >= target:
-            break
-        gamma *= 0.5
+    best_s, best_red = _cauchy_search(model, x, g, m_x, proj, delta, target)
 
     # Phase 2: projected-gradient polish, monotone in the model value.
     y = x + best_s

@@ -15,6 +15,7 @@ from convexdfo import geometry as geo
 from convexdfo import linear_models as lm
 from convexdfo import poisedness as po
 from convexdfo import quadratic_models as qm
+from convexdfo import solver as sv
 from convexdfo import subproblems as sp
 from convexdfo.cli import main as cli_main
 from convexdfo.problems import get_problem, true_criticality
@@ -351,9 +352,13 @@ def _check_run_discipline(problem, record, config, evaluated):
             assert nxt.delta == config.gamma_dec * row.delta
         elif row.step_kind == "model-improving":
             assert nxt.delta == row.delta
+        elif row.fully_linear:
+            # Criticality cuts straight to mu * pi_m, between one gamma_dec
+            # step and a fall to _CRITICALITY_FLOOR of the radius.
+            assert nxt.delta == min(config.gamma_dec * row.delta, max(
+                config.mu * row.pi_m, sv._CRITICALITY_FLOOR * row.delta))
         else:
-            expected = config.gamma_dec * row.delta if row.fully_linear else row.delta
-            assert nxt.delta == expected
+            assert nxt.delta == row.delta
 
 
 def _solve_tracked(problem, config):

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from convexdfo import geometry as geo
 from convexdfo.problems import get_problem, true_criticality
-from convexdfo.solver import IterationRow, RunRecord, SolverConfig, SolverError, solve
+from convexdfo.solver import (
+    _CRITICALITY_FLOOR,
+    IterationRow,
+    RunRecord,
+    SolverConfig,
+    SolverError,
+    _criticality_radius,
+    solve,
+)
 
 
 def run(problem_name, **config_kwargs):
@@ -98,6 +108,34 @@ class TestConvergence:
         # constrained optimum on the unit disk
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rosenbrock_disk_does_not_creep(self, seed):
+        # Near the optimum on the unit circle the model's descent direction
+        # points almost straight out of the disk.  Unless the step travels
+        # along the circle, each iteration creeps a few percent of delta
+        # and the run spends the whole budget.
+        _, _, _, record = run("rosenbrock2d", npoints=6, max_evals=600, seed=seed)
+        assert record.status == "radius_min"
+
+
+class TestCriticalityRadius:
+    @given(
+        delta=st.floats(1e-12, 1e3),
+        pi_m=st.floats(0.0, 1e3),
+        mu=st.floats(1e-3, 1e3),
+        gamma_dec=st.floats(1e-3, 1.0, exclude_max=True),
+    )
+    def test_cut_to_mu_pi_between_floor_and_one_step(self, delta, pi_m, mu, gamma_dec):
+        new = _criticality_radius(delta, pi_m, mu, gamma_dec)
+        floor = _CRITICALITY_FLOOR * delta
+        # Never above one gamma_dec step, never below the floor unless
+        # gamma_dec itself cuts deeper.
+        assert min(floor, gamma_dec * delta) <= new <= gamma_dec * delta
+        if floor < mu * pi_m < gamma_dec * delta:
+            assert new == mu * pi_m
+        if pi_m == 0.0:
+            assert new == min(floor, gamma_dec * delta) > 0.0
+
 
 @pytest.fixture(scope="module")
 def quad_run():
@@ -123,9 +161,11 @@ class TestRunDiscipline:
                 assert after == config.gamma_dec * delta
             elif row.step_kind == "model-improving":
                 assert after == delta
-            else:  # criticality
-                expected = config.gamma_dec * delta if row.fully_linear else delta
-                assert after == expected
+            elif row.fully_linear:  # criticality: cut to mu * pi_m, clamped
+                assert after == min(config.gamma_dec * delta, max(
+                    config.mu * row.pi_m, _CRITICALITY_FLOOR * delta))
+            else:  # criticality without a certified model
+                assert after == delta
 
     def test_criticality_rows_respect_guard(self, quad_run):
         _, config, _, record = quad_run

@@ -211,3 +211,56 @@ class TestTrustRegionStep:
             cauchy_best = max(cauchy_best, model.value(np.zeros(2)) - model.value(s))
             gamma *= 0.5
         assert step.predicted_reduction >= cauchy_best - 1e-12
+
+    def test_step_moves_along_curved_boundary(self):
+        # At (1, 0) on the unit disk, -g points almost straight out of it:
+        # the projected-gradient path at gamma = delta / ||g|| moves only
+        # 0.3% of delta along the circle, and each polishing step about as
+        # much.  The model keeps decreasing along the circle well past
+        # delta, so the step must use it.
+        x = np.array([1.0, 0.0])
+        model = linear_model([-1.0, -0.003], x)
+        delta = 1e-3
+        step = sp.solve_trust_region_step(model, x, geo.Ball([0.0, 0.0], 1.0), delta)
+        assert np.linalg.norm(step.step) >= 0.5 * delta
+        assert geo.Ball([0.0, 0.0], 1.0).is_member(x + step.step)
+        assert step.satisfied_cauchy
+
+
+def backtracking_only(model, x, g, m_x, proj, delta, target):
+    """Phase 1 of the trust-region step before it could extrapolate."""
+    gamma = delta / float(np.linalg.norm(g))
+    best_s, best_red = np.zeros_like(x), 0.0
+    for _ in range(sp.CAUCHY_HALVINGS):
+        s = proj(x - gamma * g) - x
+        red = m_x - model.value(x + s)
+        if red > best_red:
+            best_s, best_red = s, red
+        if red >= target:
+            break
+        gamma *= 0.5
+    return best_s, best_red
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_whole_space_search_is_backtracking_bit_for_bit(seed):
+    # On the whole space the first trial already lies on the sphere, so a
+    # doubled gamma projects back onto it and extrapolation never moves.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 21))
+    x = rng.standard_normal(n)
+    A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 2)
+    model = QuadraticModel(rng.standard_normal(), rng.standard_normal(n), A + A.T, x)
+    delta = 10.0 ** rng.uniform(-9, 1)
+    g, m_x = model.grad(x), model.value(x)
+    pi = float(np.linalg.norm(g))  # the criticality measure on the whole space
+    target = sp.cauchy_decrease_target(pi, model.hess_norm(), delta, 0.1)
+    tr_proj = geo.TrustRegionProjector(geo.WholeSpace(n), x, delta)
+
+    def proj(y):
+        return tr_proj(y[None, :])[0]
+
+    new_s, new_red = sp._cauchy_search(model, x, g, m_x, proj, delta, target)
+    old_s, old_red = backtracking_only(model, x, g, m_x, proj, delta, target)
+    assert new_s.tobytes() == old_s.tobytes()
+    assert new_red == old_red
