@@ -138,12 +138,12 @@ def cmd_solve(args):
     record.to_csv(out / "runrecord.csv")
 
     if record.final_set is not None:
-        iset, values = record.final_set, record.final_values
-        serialize.save_set(iset.with_values(values), out / "final_set.json")
+        iset = record.final_set
+        serialize.save_set(iset, out / "final_set.json")
         if config.model_kind == "mfn-quadratic":
-            model = fit_mfn_model(assemble_system(iset), values)
+            model = fit_mfn_model(assemble_system(iset), iset.values)
         else:
-            model = fit_regression_model(build_design_matrix(iset), values)
+            model = fit_regression_model(build_design_matrix(iset), iset.values)
         serialize.save_model(model, out / "final_model.json")
 
     evals = record.rows[-1].evals if record.rows else 0

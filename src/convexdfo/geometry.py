@@ -266,9 +266,13 @@ class Ball(ConvexRegion):
             raise ProjectionError(
                 "ball intersection is empty or a single point; region is ill-posed", d
             )
-        # The two spheres meet in their radical hyperplane.
-        t = (d**2 + self.radius**2 - ball.radius**2) / (2.0 * d)
-        return _onto_cut_sphere(self, u / d, t, ys)
+        # The two spheres meet in their radical hyperplane, on a circle of
+        # squared radius R^2 - t^2, factored so a small cap does not cancel.
+        R, r = self.radius, ball.radius
+        t = (d**2 + R**2 - r**2) / (2.0 * d)
+        gap = abs(d - R)
+        rho_sq = (r - gap) * (r + gap) * (d + R - r) * (d + R + r) / (4.0 * d**2)
+        return _onto_cut_sphere(self, u / d, t, rho_sq, ys)
 
     def is_member_batch(self, ys):
         diff = np.asarray(ys, float) - self.center
@@ -309,7 +313,8 @@ class _SingleHalfspace(ConvexRegion):
                 "ball misses the halfspace; intersection empty or a single point",
                 height - ball.radius,
             )
-        return _onto_cut_sphere(ball, self.normal / np.sqrt(self._nn), -height, ys)
+        rho_sq = (ball.radius - height) * (ball.radius + height)
+        return _onto_cut_sphere(ball, self.normal / np.sqrt(self._nn), -height, rho_sq, ys)
 
     def is_member_batch(self, ys):
         return ys @ self.normal <= self.offset
@@ -501,9 +506,11 @@ def contains(region, y, tol=None):
     return region.distance(y) <= tol
 
 
-def _onto_cut_sphere(ball, unit, t, ys):
+def _onto_cut_sphere(ball, unit, t, rho_sq, ys):
     """Nearest points to ``ys`` on the sphere of ``ball`` cut by the
-    hyperplane ``unit . (z - ball.center) = t`` (``unit`` of length one).
+    hyperplane ``unit . (z - ball.center) = t`` (``unit`` of length one),
+    a circle of squared radius ``rho_sq`` = radius^2 - t^2, which the
+    caller computes without cancellation.
 
     This is the projection onto the ball intersected with a second set
     whose boundary meets the sphere there, valid exactly when both
@@ -522,7 +529,7 @@ def _onto_cut_sphere(ball, unit, t, ys):
     direction = np.where(
         safe[:, None], tangential / np.where(safe, norms, 1.0)[:, None], fallback
     )
-    return center + np.sqrt(max(ball.radius**2 - t**2, 0.0)) * direction
+    return center + np.sqrt(max(rho_sq, 0.0)) * direction
 
 
 class TrustRegionProjector:

@@ -17,6 +17,11 @@ minimum-Frobenius-norm quadratic interpolation.  Both share the same
 geometry maintenance: point sets are constructed and repaired through the
 quadratic interpolation system, whose poisedness also bounds the
 regression polynomials.
+
+The point set carries its own values and is the solver's only store of
+evaluations: a repaired set takes each value it can from the set it
+replaces or from the iterate, so ``f`` is never called again at the
+iterate or at a point the set keeps.
 """
 
 from __future__ import annotations
@@ -150,15 +155,19 @@ class IterationRow:
 class RunRecord:
     """Per-iteration trace plus terminal status of one solve.
 
-    ``final_set`` and ``final_values`` hold the active interpolation set at
-    termination (for export and inspection); they do not appear in the CSV.
+    ``final_set`` is the last complete interpolation set, with its values,
+    at termination or failure (for export and inspection); ``final_values``
+    reads its values.  Neither appears in the CSV.
     """
 
     rows: list = field(default_factory=list)
     status: str = "running"
     notes: list = field(default_factory=list)
     final_set: object = None
-    final_values: object = None
+
+    @property
+    def final_values(self):
+        return None if self.final_set is None else self.final_set.values
 
     def csv_text(self):
         """Fixed-schema CSV of the trace (deterministic float formatting)."""
@@ -199,25 +208,23 @@ class _BudgetedOracle:
         return value
 
 
-def _evaluate_set(oracle, iset, cache):
-    """Values for every point of the set, reusing cached evaluations.
+def _with_values(oracle, new, old, x, fx):
+    """``new`` with a value at every point, calling ``f`` only where needed.
 
-    The cache holds only the active set plus at most one trial point;
-    values at replaced points are discarded.
+    In index order, each point takes the value of an equal point of
+    ``old`` (the set ``new`` replaces), or ``fx`` at the iterate ``x``;
+    only the remaining points are evaluated.
     """
-    values = np.empty(iset.npoints)
-    fresh = {}
-    for t, y in enumerate(iset.points):
-        key = y.tobytes()
-        if key in fresh:
-            values[t] = fresh[key]
-        elif key in cache:
-            values[t] = cache[key]
-            fresh[key] = cache[key]
+    values = np.empty(new.npoints)
+    for t, y in enumerate(new.points):
+        same = () if old is None else np.flatnonzero((old.points == y).all(axis=1))
+        if len(same):
+            values[t] = old.values[same[0]]
+        elif np.array_equal(y, x):
+            values[t] = fx
         else:
             values[t] = oracle(y)
-            fresh[key] = values[t]
-    return values, fresh
+    return new.with_values(values)
 
 
 def _criticality_radius(delta, pi_m, mu, gamma_dec):
@@ -230,27 +237,24 @@ def _criticality_radius(delta, pi_m, mu, gamma_dec):
     return min(gamma_dec * delta, max(mu * pi_m, _CRITICALITY_FLOOR * delta))
 
 
-def _swap_farthest(iset, values, center, trial, f_trial):
+def _swap_farthest(iset, center, trial, f_trial):
     """Replace the point farthest from ``center`` by the trial point."""
     dists = np.linalg.norm(iset.points - center, axis=1)
     far = int(np.argmax(dists))
     others = np.delete(np.arange(iset.npoints), far)
     gap = np.linalg.norm(iset.points[others] - trial, axis=1)
     if gap.size and float(np.min(gap)) <= 1e-13 * (1.0 + float(np.linalg.norm(trial))):
-        return iset, values  # would duplicate an existing point
-    new_set = iset.replace_point(far, trial)
-    new_values = values.copy()
-    new_values[far] = f_trial
-    return new_set, new_values
+        return iset  # would duplicate an existing point
+    return iset.replace_point(far, trial, f_trial)
 
 
-def _build_model(iset, values, model_kind):
-    """Model plus its interpolation system; None system when degenerate."""
+def _build_model(iset, model_kind):
+    """Model of ``iset.values`` plus its interpolation system; None system when degenerate."""
     if model_kind == "mfn-quadratic":
         system = assemble_system(iset, require_invertible=False)
         if not system.invertible:
             return None, None
-        return fit_mfn_model(system, values), system
+        return fit_mfn_model(system, iset.values), system
     basis = build_design_matrix(iset, require_full_rank=False)
     if not basis.full_rank:
         return None, None
@@ -259,7 +263,7 @@ def _build_model(iset, values, model_kind):
     system = assemble_system(iset, require_invertible=False)
     if not system.invertible:
         return None, None
-    return fit_regression_model(basis, values), system
+    return fit_regression_model(basis, iset.values), system
 
 
 def solve(f, region, x0, config=None):
@@ -288,43 +292,34 @@ def solve(f, region, x0, config=None):
     oracle = _BudgetedOracle(f, config.max_evals)
     delta = config.delta0
 
-    # The set improve() last returned and the certificate it came with; it
-    # stands for that set at (x, delta) until a step replaces the set.
-    repaired_set, repaired_cert = None, None
+    def repair(old):
+        # Repair at the current (x, delta).  The set comes back only once all
+        # its values exist; the certificate stands for it until a step
+        # replaces it.
+        new, cert, _ = improve_to_poised(old, region, x, delta, p, lam, rng=rng)
+        return _with_values(oracle, new, old, x, fx), cert
 
-    def improve(iset, center, radius):
-        # The repaired set is handed back with its values, and only once
-        # they all exist, so the record never pairs a set with stale values.
-        nonlocal repaired_set, repaired_cert
-        repaired_set, repaired_cert, _ = improve_to_poised(
-            iset, region, center, radius, p, lam, rng=rng
-        )
-        return (repaired_set, *_evaluate_set(oracle, repaired_set, cache))
-
-    iset, values = None, None
+    iset = None
     try:
         fx = oracle(x)
-        cache = {x.tobytes(): fx}
-        iset, values, cache = improve(None, x, delta)
+        iset, cert = repair(None)
 
         for k in range(50 * config.max_evals):
             if delta < config.delta_min:
                 record.status = "radius_min"
                 break
 
-            model, system = _build_model(iset, values, config.model_kind)
+            model, system = _build_model(iset, config.model_kind)
             if model is None:
                 # Degenerate geometry slipped in; rebuild before modelling.
-                iset, values, cache = improve(iset, x, delta)
-                model, system = _build_model(iset, values, config.model_kind)
+                iset, cert = repair(iset)
+                model, system = _build_model(iset, config.model_kind)
                 if model is None:
                     raise SolverError("geometry repair failed to restore invertibility", record)
 
             f_at_k, delta_at_k = fx, delta
             pi_m = criticality_measure(model.grad(x), x, region, 1.0).value
-            if iset is repaired_set:
-                cert = repaired_cert
-            else:
+            if cert is None:
                 cert = check_poisedness(system, region, lam, beta=1.0, rng=rng)
             fully_linear = bool(cert.verified)
 
@@ -333,10 +328,9 @@ def solve(f, region, x0, config=None):
             ):
                 if fully_linear:
                     delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec)
-                iset, values, cache = improve(iset, x, delta)
+                iset, cert = repair(iset)
                 record.rows.append(IterationRow(
-                    k, f_at_k, delta_at_k, pi_m, None, "criticality",
-                    oracle.used, fully_linear,
+                    k, f_at_k, delta_at_k, pi_m, None, "criticality", oracle.used, fully_linear,
                 ))
                 continue
 
@@ -344,7 +338,6 @@ def solve(f, region, x0, config=None):
             if step.predicted_reduction > 0.0:
                 trial = x + step.step
                 f_trial = oracle(trial)
-                cache[trial.tobytes()] = f_trial
                 rho = (fx - f_trial) / step.predicted_reduction
             else:
                 trial, f_trial, rho = None, None, None
@@ -353,21 +346,19 @@ def solve(f, region, x0, config=None):
             if rho is not None and rho >= config.eta:
                 step_kind = "successful"
                 delta = min(config.gamma_inc * delta, config.delta_max)
-                iset = iset.with_geometry(trial, delta)
-                iset, values = _swap_farthest(iset, values, trial, trial, f_trial)
+                iset = _swap_farthest(iset.with_geometry(trial, delta), trial, trial, f_trial)
                 x, fx = trial, f_trial
+                cert = None
             elif not fully_linear:
                 step_kind = "model-improving"
-                iset, values, cache = improve(iset, x, delta)
+                iset, cert = repair(iset)
             else:
                 step_kind = "unsuccessful"
                 delta = config.gamma_dec * delta
                 iset = iset.with_geometry(x, delta)
                 if trial is not None:
-                    iset, values = _swap_farthest(iset, values, x, trial, f_trial)
-            # Keep no evaluations beyond the active set (plus the trial just
-            # folded in above, when it was kept).
-            cache = {y.tobytes(): v for y, v in zip(iset.points, values)}
+                    iset = _swap_farthest(iset, x, trial, f_trial)
+                cert = None
             record.rows.append(IterationRow(
                 k, f_at_k, delta_at_k, pi_m, rho, step_kind, oracle.used, fully_linear,
             ))
@@ -380,9 +371,7 @@ def solve(f, region, x0, config=None):
         record.status = "error"
         # A failing f is reported through its own exception, not the signal.
         raise SolverError(str(exc), record) from (exc.__cause__ or exc)
-
-    if record.status == "running":
-        record.status = "radius_min"
-    record.final_set = iset
-    record.final_values = values
+    finally:
+        # The last set whose values all exist, also when the run fails.
+        record.final_set = iset
     return x, record

@@ -126,6 +126,15 @@ class TestBallIntersectionProjection:
             )
             assert np.linalg.norm(res.point - pts[0]) <= 1e-7
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8])
+    def test_small_cap_of_a_ball_lands_on_the_trust_sphere(self, delta):
+        # A trust radius tiny against the region's cuts a small cap, whose
+        # circle radius sqrt(R^2 - t^2) must be computed without cancelling.
+        x = np.array([1.0, 0.0])
+        projector = geo.TrustRegionProjector(geo.Ball(np.zeros(2), 1.0), x, delta)
+        y = projector((x + 100.0 * delta * np.array([1.0, 0.1]))[None])[0]
+        assert np.linalg.norm(y - x) == pytest.approx(delta, rel=1e-12, abs=0.0)
+
 
 PIECE_KINDS = ["whole", "box", "box-centre-outside", "box-tangent", "ball", "halfspace"]
 

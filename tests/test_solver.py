@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexdfo import geometry as geo
@@ -21,6 +21,17 @@ def run(problem_name, **config_kwargs):
     config = SolverConfig(**config_kwargs)
     x, record = solve(problem.f, problem.region, problem.x0, config)
     return problem, config, x, record
+
+
+def recording(f):
+    """``f`` plus the list of points it is called at, in order."""
+    points = []
+
+    def wrapped(x):
+        points.append(np.array(x, dtype=float))
+        return f(x)
+
+    return wrapped, points
 
 
 def failing_at(f, call, bad):
@@ -218,7 +229,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("budget", [2, 3, 7, 11, 20, 40])
     def test_final_set_matches_its_values(self, budget):
         problem, _, _, record = run("quad2d", max_evals=budget, seed=0)
-        if budget < 5:  # the first set (5 points, one cached) is never complete
+        if budget < 5:  # the first set (the start plus 4 points) is never complete
             assert record.final_set is None and record.final_values is None
         else:
             expected = [problem.f(y) for y in record.final_set.points]
@@ -237,9 +248,10 @@ class TestEdgeCases:
             assert isinstance(info.value.__cause__, ZeroDivisionError)
         else:
             assert bad in str(info.value)
-        # The set and values are still the last pair evaluated in full.
-        if record.final_set is None:
-            assert record.final_values is None
+        # The record keeps the last set evaluated in full; the first set (five
+        # points) is complete only from call 6 on.
+        if call < 6:
+            assert record.final_set is None and record.final_values is None
         else:
             expected = [problem.f(y) for y in record.final_set.points]
             np.testing.assert_array_equal(record.final_values, expected)
@@ -257,3 +269,47 @@ class TestEdgeCases:
         _, _, x2, rec2 = run("quad2d", npoints=6, max_evals=150, seed=11)
         np.testing.assert_array_equal(x1, x2)
         assert rec1.csv_text() == rec2.csv_text()
+
+
+class TestEvaluations:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_f_called_once_per_iterate(self, seed):
+        problem = get_problem("rosenbrock2d")
+        f, points = recording(problem.f)
+        _, record = solve(f, problem.region, problem.x0,
+                          SolverConfig(npoints=6, max_evals=200, seed=seed))
+        # The iterates are the start and the trial point of each successful
+        # row, which is that row's last evaluation.
+        iterates = [points[0]] + [points[row.evals - 1] for row in record.rows
+                                  if row.step_kind == "successful"]
+        for x in iterates:
+            assert sum(np.array_equal(x, y) for y in points) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["box", "ball"]), n=st.integers(1, 3),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_every_evaluated_point_is_an_exact_member(self, kind, n, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        centre = scale * rng.standard_normal(n)
+        if kind == "box":
+            half = scale * (0.1 + rng.random(n))
+            region = geo.Box(centre - half, centre + half)
+        else:
+            region = geo.Ball(centre, scale * (0.1 + rng.random()))
+        target = centre + 2.0 * scale * rng.standard_normal(n)  # mostly outside C
+        f, points = recording(lambda y: float(np.sum((y - target) ** 2)))
+        config = SolverConfig(delta0=scale, delta_max=100.0 * scale,
+                              delta_min=1e-8 * scale, max_evals=30, seed=0)
+        solve(f, region, centre, config)
+        assert all(region.is_member(y) for y in points)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the iterate lies on the face and the step runs along it; shrink_into "
+        "only shrinks toward x, so an outward rounding component stays"))
+    def test_single_halfspace_evaluations_are_exact_members(self):
+        a = np.arange(1.0, 5.0) / 7.0 + 0.1
+        region = geo.Halfspaces([a], [1.0])
+        f, points = recording(lambda y: float(np.sum((y - 3.0) ** 2)))
+        solve(f, region, np.zeros(4), SolverConfig(seed=0, max_evals=60))
+        assert all(region.is_member(y) for y in points)
