@@ -42,6 +42,11 @@ class TestCriticalityMeasure:
         ("simplex", [0.0, 0.2], [0.5, -1.5]),
         ("lens", [0.25, 0.0], [0.3, -1.0]),
         ("lens", [0.9, 0.3], [-1.0, -0.6]),
+        # The minimizer is where the lens meets the nearly tangent trust
+        # sphere: Dykstra gives up on the 4th point of the extrapolated path,
+        # which ends the path search, not the measure.
+        ("lens", [-0.0942301237885772, 0.04362028051094957],
+         [-0.4530744436687142, -1.0658380219633747]),
     ])
     def test_random_instances_match_grid_oracle(self, case):
         kind, x, g = case
@@ -92,17 +97,45 @@ class TestCriticalityMeasure:
         region = geo.Box(lo, hi)
         res = sp.criticality_measure(g, x, region, radius)
         expected = box_criticality(g, x, lo, hi, radius)
-        if res.iterations < sp.CRITICALITY_ITERATIONS:  # stopped at a fixed point
-            assert res.value == pytest.approx(expected, rel=1e-9, abs=1e-15 * radius)
-        else:
-            # A coordinate with |g_i| << ||g|| moves radius |g_i| / ||g|| per
-            # step and can outlast the cap; constant-step projected gradient
-            # still has its O(1/k) gap bound (Beck 2017, ch. 10).
-            gap = radius * np.linalg.norm(g) / (2 * sp.CRITICALITY_ITERATIONS)
-            assert res.value <= expected * (1.0 + 1e-9)
-            assert expected - res.value <= gap
+        assert res.value == pytest.approx(expected, rel=1e-12, abs=1e-15 * radius)
         assert geo.contains(region, x + res.minimizer, 1e-14 * (1.0 + np.max(np.abs(x))))
         assert np.linalg.norm(res.minimizer) <= radius * (1.0 + 1e-12)
+
+    def test_slow_box_coordinate_is_exact(self):
+        # |g_5| / ||g|| is 6e-4: constant steps of radius / ||g|| would need
+        # about 560 of them to bring that coordinate to its bound, past the
+        # 500-step cap the measure once had.
+        lo = np.array([-0.49, -0.13, -0.22, -0.48, -0.33, 0.0])
+        hi = np.array([0.0, 1.37, 0.0, 0.0, 0.0, 0.43])
+        g = np.array([-0.868, 0.481, 0.316, -2.490, 0.00168, 0.835])
+        x = np.zeros(6)
+        expected = box_criticality(g, x, lo, hi, 1.0)
+        assert expected == pytest.approx(0.1326044, abs=5e-8)
+        res = sp.criticality_measure(g, x, geo.Box(lo, hi))
+        assert res.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["simplex", "lens", "box-ball"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_positive_homogeneity_on_pieces(self, kind, seed):
+        # The stopping rules are scale-free in g, so pi(s g) = s pi(g) holds
+        # to rounding on the Dykstra routes too.
+        region, lo, hi = {
+            "simplex": (geo.Halfspaces(np.vstack([-np.eye(3), np.ones((1, 3))]),
+                                       [0.5, 0.5, 0.5, 1.0]), -0.5, 2.0),
+            "lens": (geo.Intersection([geo.Ball([0.0, 0.0], 1.0),
+                                       geo.Ball([0.5, 0.0], 1.0)]), -1.0, 1.5),
+            "box-ball": (geo.Intersection([geo.Box([-0.5] * 3, [1.0] * 3),
+                                           geo.Ball(np.zeros(3), 1.2)]), -0.5, 1.0),
+        }[kind]
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(lo, hi, region.dimension)
+        while not region.is_member(x):
+            x = rng.uniform(lo, hi, region.dimension)
+        g = rng.standard_normal(region.dimension)
+        base = sp.criticality_measure(g, x, region).value
+        for s in (1e-12, 1e-6, 1e6):
+            scaled = sp.criticality_measure(s * g, x, region).value
+            assert abs(scaled - s * base) <= 1e-12 * s * np.linalg.norm(g)
 
     def test_radius_scaling_unconstrained(self):
         res = sp.criticality_measure([3.0, 4.0], [0.0, 0.0], geo.WholeSpace(2),
@@ -226,6 +259,76 @@ class TestTrustRegionStep:
         assert geo.Ball([0.0, 0.0], 1.0).is_member(x + step.step)
         assert step.satisfied_cauchy
 
+    @pytest.mark.parametrize("region, x, g, delta", [
+        # The first 12 points of the extrapolated path are exact, the 13th
+        # needs 5,408 Dykstra sweeps and the 14th does not converge.
+        (geo.Intersection([geo.Ball([0.0, 0.0], 1.0), geo.Ball([0.5, 0.0], 1.0)]),
+         [0.7553585642569692, -0.655311711633212],
+         [-0.7693203309211949, 0.5425830336149764], 0.1),
+        # From the 4th point on, each doubling about doubles the sweeps
+        # (131, 356, ..., 7,095); the 10th does not converge.
+        (geo.Intersection([geo.Box([-0.5] * 3, [1.0] * 3), geo.Ball(np.zeros(3), 1.2)]),
+         [0.1641289275253197, 0.18523283350659647, -0.5],
+         [0.12977273970235542, -0.9858686902969566, 0.4742885151043254], 1.0),
+    ], ids=["lens", "box-ball"])
+    def test_extrapolation_stops_at_dykstra(self, region, x, g, delta, monkeypatch):
+        gave_up = []
+
+        class Projector(geo.TrustRegionProjector):
+            def __call__(self, ys):
+                try:
+                    return super().__call__(ys)
+                except geo.ProjectionError:
+                    gave_up.append(ys)
+                    raise
+
+        monkeypatch.setattr(sp, "TrustRegionProjector", Projector)
+        x = np.asarray(x, float)
+        step = sp.solve_trust_region_step(linear_model(g, x), x, region, delta)
+        assert gave_up == []
+        assert region.is_member(x + step.step)
+        assert np.linalg.norm(step.step) <= delta
+        assert step.satisfied_cauchy
+
+    def test_whole_space_reaches_trust_region_minimum(self):
+        shortfalls = []
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 21))
+            h = np.arange(1.0, n + 1.0)
+            g = rng.standard_normal(n)
+            delta = 10.0 ** rng.uniform(-2, 0.5)
+            model = QuadraticModel(0.0, g, np.diag(h), np.zeros(n))
+            step = sp.solve_trust_region_step(
+                model, np.zeros(n), geo.WholeSpace(n), delta, pi_m=np.linalg.norm(g)
+            )
+            best = exact_trust_region_decrease(h, g, delta)
+            if step.predicted_reduction < best * (1.0 - 1e-9):
+                shortfalls.append((seed, step.predicted_reduction / best))
+        assert shortfalls == []
+
+
+def exact_trust_region_decrease(h, g, delta):
+    """max -(g.s + s.diag(h).s / 2) over ||s|| <= delta, for h > 0.
+
+    The minimizer is s = -g / (h + lam) with lam = 0 if that fits in the
+    ball, else the lam > 0 putting it on the sphere, found by bisection.
+    """
+    def s(lam):
+        return -g / (h + lam)
+
+    lam_lo, lam_hi = 0.0, 0.0
+    if np.linalg.norm(s(0.0)) > delta:
+        lam_hi = np.linalg.norm(g) / delta
+        for _ in range(200):
+            mid = 0.5 * (lam_lo + lam_hi)
+            if np.linalg.norm(s(mid)) > delta:
+                lam_lo = mid
+            else:
+                lam_hi = mid
+    best = s(lam_hi)
+    return -float(g @ best + 0.5 * best @ (h * best))
+
 
 def backtracking_only(model, x, g, m_x, proj, delta, target):
     """Phase 1 of the trust-region step before it could extrapolate."""
@@ -260,7 +363,7 @@ def test_whole_space_search_is_backtracking_bit_for_bit(seed):
     def proj(y):
         return tr_proj(y[None, :])[0]
 
-    new_s, new_red = sp._cauchy_search(model, x, g, m_x, proj, delta, target)
+    new_s, new_red = sp._cauchy_search(model, x, g, m_x, tr_proj, delta, target)
     old_s, old_red = backtracking_only(model, x, g, m_x, proj, delta, target)
     assert new_s.tobytes() == old_s.tobytes()
     assert new_red == old_red
