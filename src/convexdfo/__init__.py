@@ -46,7 +46,6 @@ from .poisedness import (
     check_poisedness,
     improve_to_poised,
     initial_invertible_set,
-    maximize_abs_lagrange,
 )
 from .quadratic_models import (
     MfnSystem,
@@ -86,7 +85,6 @@ __all__ = [
     "check_poisedness",
     "improve_to_poised",
     "initial_invertible_set",
-    "maximize_abs_lagrange",
     "MfnSystem",
     "QuadraticModel",
     "SingularGeometryError",

@@ -95,7 +95,7 @@ def _solver_config(args):
         "max_evals": args.max_evals,
         "delta_min": args.delta_min,
         "seed": args.seed,
-        "model_kind": _MODEL_ALIASES.get(args.model, args.model) if args.model else None,
+        "model_kind": args.model,
     }
     options.update({k: v for k, v in direct.items() if v is not None})
     if "model_kind" in options:
@@ -105,8 +105,7 @@ def _solver_config(args):
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     problem_name = options.pop("problem", None) or getattr(args, "problem", None)
     region_spec = options.pop("region", None) or getattr(args, "region", None)
-    config = SolverConfig(**{k: v for k, v in options.items()
-                             if k in SolverConfig.__dataclass_fields__})
+    config = SolverConfig(**options)
     try:
         config.validate()
     except ValueError as exc:

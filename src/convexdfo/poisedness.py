@@ -1,4 +1,4 @@
-"""Poisedness verification and construction of well-poised interpolation sets.
+"""Poisedness verification and repair of interpolation sets.
 
 A point set is poised at level Lambda when every one of its Lagrange
 polynomials stays within [-Lambda, Lambda] on the feasible part of the
@@ -16,15 +16,15 @@ batched build, and the products H_t d gather Hessians for a bounded chunk
 of rows at a time, so a sweep's memory is O(rows * n) on top of the p
 stored Hessians.
 
-Two constructive procedures are provided:
-
-* :func:`initial_invertible_set` places a structured pattern of axis and
-  cross points (ignoring the region), then replaces each infeasible point
-  by a feasible one at which its own Lagrange polynomial is nonzero, which
-  keeps the interpolation system invertible throughout.
-* :func:`improve_to_poised` checks the set and, while the certificate
-  shows a polynomial above Lambda, swaps its point for the witness; each
-  swap multiplies |det F| by at least Lambda^2, which forces termination.
+One check-then-swap loop builds and repairs every set: each round checks
+the set and replaces one point by a feasible point where that point's
+Lagrange polynomial is large.  Infeasible points go first, each for a
+point where its own polynomial is clearly nonzero, which keeps the system
+invertible.  Then, given a level Lambda, the witness point replaces its
+polynomial's point while the check finds a value above Lambda; each such
+swap multiplies |det F| by at least Lambda^2.
+:func:`initial_invertible_set` runs the loop with no level on a structured
+pattern, :func:`improve_to_poised` at its level on the given set.
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    TrustRegionProjector,
-    contains,
-    shrink_into,
-)
+from .geometry import TrustRegionProjector, contains, shrink_into
 from .linear_models import InterpolationSet
 from .quadratic_models import SignedLogDet, assemble_system, det_after_point_swap
 from .sampling import sample_feasible_in_ball
@@ -48,7 +44,6 @@ __all__ = [
     "SwapRecord",
     "PoisednessImprovementError",
     "ThinRegionError",
-    "maximize_abs_lagrange",
     "check_poisedness",
     "structured_initial_points",
     "initial_invertible_set",
@@ -97,6 +92,8 @@ class PoisednessCertificate:
     (at least 1 whenever an interpolation point is itself feasible and in
     the search ball); ``verified`` also requires the geometry side: every
     point feasible and within ``beta * min(radius, 1)`` of the base.
+    ``per_polynomial`` and ``best_points`` hold each polynomial's best
+    |l_t| value and the point where the sweep found it.
     """
 
     lambda_observed: float
@@ -105,12 +102,13 @@ class PoisednessCertificate:
     verified: bool
     reason: str
     per_polynomial: np.ndarray | None = None
+    best_points: np.ndarray | None = None
     stats: SubsolverStats | None = None
 
 
 @dataclass
 class SwapRecord:
-    """One point replacement in the improvement loop."""
+    """One swap of a point above the level in the repair loop."""
 
     index: int
     point: np.ndarray
@@ -123,10 +121,6 @@ def _as_rng(rng):
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(0 if rng is None else rng)
-
-
-def _search_radius(system, delta=None):
-    return min(delta if delta is not None else system.radius, 1.0)
 
 
 def _ascent_starts(system, region, x, r, rng):
@@ -191,10 +185,9 @@ def _ascend_stacked(stack, starts, region, x, r, early_exit_at=None,
     values and points plus the :class:`SubsolverStats`.  With
     ``early_exit_at`` set, stops as soon as any row exceeds it (a found
     violation is always genuine; only the above/below answer is needed
-    then).  With
-    ``skip_bounded_at``, polynomials whose interval bound on the search
-    ball already sits below the threshold keep only their start values
-    (they cannot cross the threshold, so their exact maxima are not
+    then).  With ``skip_bounded_at``, polynomials whose interval bound on
+    the search ball already sits below the threshold keep only their start
+    values (they cannot cross the threshold, so their exact maxima are not
     needed).
     """
     proj = TrustRegionProjector(region, x, r)
@@ -280,21 +273,10 @@ def _ascend_stacked(stack, starts, region, x, r, early_exit_at=None,
     return best_vals, best_pts, stats
 
 
-def maximize_abs_lagrange(system, t, region, x=None, delta=None, early_exit_at=None, rng=None):
-    """Estimate ``max |l_t|`` over the feasible trust-region ball.
-
-    Heuristic (best-found) maximizer; see the module docstring for the
-    start set.  Returns ``(value, argmax point)``.
-    """
-    rng = _as_rng(rng)
-    x = system.base if x is None else np.asarray(x, float)
-    r = _search_radius(system, delta)
-    starts = _ascent_starts(system, region, x, r, rng)
-    values, points, _ = _ascend_stacked(
-        _StackedQuadratics(system, [t]), starts, region, x, r,
-        early_exit_at=early_exit_at,
-    )
-    return float(values[0]), points[0]
+def _outside_ball(points, x, radius):
+    dists = np.linalg.norm(points - x, axis=1)
+    rounding = np.finfo(float).eps * np.linalg.norm(x)
+    return bool(np.any(dists > radius * (1.0 + GEOMETRY_SLACK) + rounding))
 
 
 def _misplaced(points, region, x, radius):
@@ -304,47 +286,42 @@ def _misplaced(points, region, x, radius):
     radius plus the rounding of stored coordinates of size ||x||, or outside
     the region at the default membership tolerance.
     """
-    dists = np.linalg.norm(points - x, axis=1)
-    rounding = np.finfo(float).eps * np.linalg.norm(x)
-    if np.any(dists > radius * (1.0 + GEOMETRY_SLACK) + rounding):
+    if _outside_ball(points, x, radius):
         return "point outside beta * min(radius, 1) ball"
     if not all(contains(region, y) for y in points):
         return "infeasible interpolation point"
     return ""
 
 
-def check_poisedness(system, region, lam, beta=1.0, x=None, delta=None, rng=None,
-                     early_exit=True):
+def check_poisedness(system, region, lam, beta=1.0, rng=None, early_exit=True):
     """Poisedness certificate for an interpolation system at level ``lam``.
 
     Works for both quadratic interpolation systems and regression bases
     (the regression notion additionally requires the displacements to span,
     which is the basis' nondegeneracy flag).  Verification requires no
-    point misplaced (outside B(x, beta * min(radius, 1)) or infeasible) and
-    no Lagrange polynomial found above ``lam``.
+    point misplaced (outside B(x, beta * min(radius, 1)) or infeasible),
+    with x and radius the system's base and radius, and no Lagrange
+    polynomial found above ``lam``.
 
     Every polynomial is maximized over the feasible search ball, except
     those whose interval bound on the ball is already at most ``lam``: they
     cannot exceed ``lam`` and keep their best start value.  So with
     ``early_exit=False`` the observed level is exact (the full sweep's
-    maximum) whenever it exceeds ``lam``.  With ``early_exit`` the sweep
-    stops at the first value above ``lam``.
+    maximum) whenever it exceeds ``lam``; with ``lam = inf`` no polynomial
+    ascends and each keeps its best start.  With ``early_exit`` a misplaced
+    set gets no sweep (``lambda_observed = inf``), and the sweep stops at
+    the first value above ``lam``.
     """
     if lam < 1.0:
         raise ValueError("poisedness level must be at least 1")
     rng = _as_rng(rng)
-    x = system.base if x is None else np.asarray(x, float)
-    r = _search_radius(system, delta)
+    x, r = system.base, min(system.radius, 1.0)
 
-    if not system.nondegenerate:
-        return PoisednessCertificate(
-            lambda_observed=np.inf,
-            witness_index=-1,
-            witness_point=None,
-            verified=False,
-            reason="singular interpolation system",
-        )
-    why = _misplaced(system.points, region, x, beta * r)
+    why = ("singular interpolation system" if not system.nondegenerate
+           else _misplaced(system.points, region, x, beta * r))
+    if why and (early_exit or not system.nondegenerate):
+        return PoisednessCertificate(lambda_observed=np.inf, witness_index=-1,
+                                     witness_point=None, verified=False, reason=why)
     starts = _ascent_starts(system, region, x, r, rng)
     values, points, stats = _ascend_stacked(
         _StackedQuadratics(system), starts, region, x, r,
@@ -360,6 +337,7 @@ def check_poisedness(system, region, lam, beta=1.0, x=None, delta=None, rng=None
         verified=verified,
         reason="" if verified else (why or f"Lagrange polynomial above {lam}"),
         per_polynomial=values,
+        best_points=points,
         stats=stats,
     )
 
@@ -390,54 +368,78 @@ def structured_initial_points(x, delta, p):
     return np.array(pts)
 
 
-def initial_invertible_set(region, x, delta, p, rng=None):
-    """Feasible interpolation set with an invertible system (two stages).
+def _repair(work, system, region, lam, rng, cap=None):
+    """The check-then-swap loop; returns ``(set, last certificate, swap_log)``.
 
-    Stage 1 places the structured pattern without regard to the region;
-    stage 2 walks the points once, replacing each infeasible one by a
-    feasible point where its own Lagrange polynomial is meaningfully
-    nonzero (above ``REPLACEMENT_TOL``), found by the ascent subsolver.
-    Each index is visited at most once, so at most p replacements occur.
+    Each round checks the set without early exit (``lam = None`` checks at
+    ``inf``: every polynomial keeps its best start).  The first point that is
+    not an exact member of the region and was not swapped yet goes first,
+    for its own polynomial's best point.  Otherwise the witness point goes
+    while the observed level exceeds ``lam``; only these swaps are logged,
+    at most ``cap`` of them.  With no level and no point left to swap, the
+    loop returns without a check.
     """
-    rng = _as_rng(rng)
+    x = work.base
+    tried = set()
+    swap_log = []
+    while True:
+        bad = next((t for t in np.flatnonzero(~region.is_member_batch(work.points))
+                    if t not in tried), None)
+        if bad is None and lam is None:
+            return work, None, swap_log
+        cert = check_poisedness(system, region, np.inf if lam is None else lam,
+                                rng=rng, early_exit=False)
+        if bad is not None:
+            tried.add(bad)
+            t, y_new, value = bad, cert.best_points[bad], cert.per_polynomial[bad]
+            if value <= REPLACEMENT_TOL:
+                raise ThinRegionError(
+                    f"region too thin for invertible geometry: best |l_{t}| = {value:.3e} "
+                    f"within B(x, {min(work.radius, 1.0)}) over the feasible set"
+                )
+        elif cert.lambda_observed <= lam:
+            return work, cert, swap_log
+        elif len(swap_log) >= cap:
+            raise PoisednessImprovementError(
+                f"poisedness improvement did not settle within {cap} swaps "
+                f"(worst |l_t| = {cert.lambda_observed:.3e})", swap_log)
+        else:
+            t, y_new = cert.witness_index, cert.witness_point
+        if not region.is_member(y_new):  # rounding left it just outside
+            y_new = x + shrink_into(region, x, y_new - x)
+        predicted = det_after_point_swap(system, t, y_new)
+        work = work.replace_point(t, y_new)
+        system = assemble_system(work)
+        if bad is None:
+            swap_log.append(SwapRecord(t, y_new, cert.lambda_observed, predicted, system.det))
+
+
+def initial_invertible_set(region, x, delta, p, rng=None):
+    """Feasible interpolation set with an invertible system.
+
+    The structured pattern goes through the repair loop with no level: each
+    infeasible point is replaced by the best sweep start of its own Lagrange
+    polynomial, which must be meaningfully nonzero (above
+    ``REPLACEMENT_TOL``) and so keeps the system invertible.  A pattern with
+    no infeasible point comes back as it is, with no sweep.
+    """
     x = np.asarray(x, dtype=float)
     if not contains(region, x):
         raise ValueError("base point must be feasible")
     iset = InterpolationSet(x, delta, structured_initial_points(x, delta, p))
-    system = assemble_system(iset)  # structured pattern: invertible by construction
-    r = min(delta, 1.0)
-
-    for t in range(p):
-        y_t = iset.points[t]
-        if region.is_member(y_t):
-            continue
-        # Any clearly nonzero Lagrange value will do here, so stop the
-        # search once a comfortably large one appears.
-        value, point = maximize_abs_lagrange(
-            system, t, region, x, delta, early_exit_at=0.5, rng=rng
-        )
-        if value <= REPLACEMENT_TOL:
-            raise ThinRegionError(
-                f"region too thin for invertible geometry: best |l_{t}| = {value:.3e} "
-                f"within B(x, {r}) over the feasible set"
-            )
-        if not region.is_member(point):  # rounding left it just outside
-            point = x + shrink_into(region, x, point - x)
-        iset = iset.replace_point(t, point)
-        system = assemble_system(iset)
-    return iset
+    # The structured pattern is invertible by construction.
+    return _repair(iset, assemble_system(iset), region, None, _as_rng(rng))[0]
 
 
 def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
     """Produce a set poised at level ``lam`` inside the feasible ball.
 
-    Reinitializes (via :func:`initial_invertible_set`) when no set is
-    given, or the given one has the wrong size, a singular system or a
-    misplaced point (the certificate's test, in B(x, min(delta, 1))).
-    Then checks the set without early exit and swaps the witness
-    polynomial's point for its witness point until the observed level is
-    at most ``lam``; each swap multiplies |det F| by at least ``lam^2``,
-    logged with predicted and recomputed determinants.
+    Rebuilds (via :func:`initial_invertible_set`) when no set is given, or
+    the given one has the wrong size, a singular system or a point outside
+    B(x, min(delta, 1)) (the certificate's test); an infeasible point inside
+    the ball is repaired in place.  Then runs the repair loop at ``lam``:
+    each swap of a point above ``lam`` multiplies |det F| by at least
+    ``lam^2`` and is logged with predicted and recomputed determinants.
 
     Returns ``(set, certificate of the last check, swap_log)``.
     """
@@ -447,43 +449,15 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
     x = np.asarray(x, dtype=float)
     if not contains(region, x):
         raise ValueError("base point must be feasible")
-    r = min(delta, 1.0)
-    cap = max_swaps if max_swaps is not None else 100 * p
 
     work = None
     if iset is not None and iset.npoints == p and iset.dimension == x.size:
         work = InterpolationSet(x, delta, iset.points.copy())
         system = assemble_system(work, require_invertible=False)
-        if not system.invertible or _misplaced(work.points, region, x, r):
+        if not system.invertible or _outside_ball(work.points, x, min(delta, 1.0)):
             work = None
     if work is None:
         work = initial_invertible_set(region, x, delta, p, rng=rng)
         system = assemble_system(work)
-
-    swap_log = []
-    while True:
-        cert = check_poisedness(system, region, lam, x=x, delta=delta, rng=rng,
-                                early_exit=False)
-        if cert.lambda_observed <= lam:
-            return work, cert, swap_log
-        if len(swap_log) >= cap:
-            raise PoisednessImprovementError(
-                f"poisedness improvement did not settle within {cap} swaps "
-                f"(worst |l_t| = {cert.lambda_observed:.3e})",
-                swap_log,
-            )
-        worst, y_new = cert.witness_index, cert.witness_point
-        if not region.is_member(y_new):  # rounding left it just outside
-            y_new = x + shrink_into(region, x, y_new - x)
-        predicted = det_after_point_swap(system, worst, y_new)
-        work = work.replace_point(worst, y_new)
-        system = assemble_system(work)
-        swap_log.append(
-            SwapRecord(
-                index=worst,
-                point=y_new,
-                lagrange_value=cert.lambda_observed,
-                predicted_det=predicted,
-                actual_det=system.det,
-            )
-        )
+    return _repair(work, system, region, lam, rng,
+                   max_swaps if max_swaps is not None else 100 * p)

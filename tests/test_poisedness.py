@@ -59,13 +59,24 @@ class GatheredStack:
         return np.abs(self.c) + gnorm * r + 0.5 * hnorm * r**2
 
 
+def lagrange_maxima(system, region, rng):
+    """The full sweep's best value and point for every Lagrange polynomial."""
+    cert = po.check_poisedness(system, region, 1 + 1e-9, rng=rng, early_exit=False)
+    return cert.per_polynomial, cert.best_points
+
+
 class TestMaximizeAbsLagrange:
+    """Per-polynomial maxima of |l_t| from the full sweep."""
+
     def test_linear_polynomial_over_ball_closed_form(self, rng):
         # with a regression basis on a whole-space region the polynomials are
-        # affine; the max of |c + g.(y-x)| over B(x, r) is |c| + r ||g||
-        pts = rng.standard_normal((5, 2))
+        # affine; the max of |c + g.(y-x)| over B(x, r) is |c| + r ||g||.
+        # The points cluster inside the ball, so every maximum exceeds the
+        # level and no polynomial is held at its start value.
+        pts = 0.02 * rng.standard_normal((5, 2))
         basis = build_design_matrix(make_set(pts, [0.0, 0.0], radius=0.7))
         region = geo.WholeSpace(2)
+        values, points = lagrange_maxima(basis, region, rng)
         for t in range(5):
             poly = basis.lagrange_polynomial(t)
             r = 0.7
@@ -73,7 +84,8 @@ class TestMaximizeAbsLagrange:
                 abs(poly.c + r * np.linalg.norm(poly.g)),
                 abs(poly.c - r * np.linalg.norm(poly.g)),
             )
-            value, point = po.maximize_abs_lagrange(basis, t, region, rng=rng)
+            assert expected > 1 + 1e-9
+            value, point = values[t], points[t]
             assert value == pytest.approx(expected, abs=1e-6)
             # the boundary max of a linear function is flat to second order,
             # so the argmax point is only sqrt(value-tolerance) determined
@@ -87,21 +99,18 @@ class TestMaximizeAbsLagrange:
         iset = po.initial_invertible_set(region, np.array([0.2, -0.1]), 0.8, 6, rng=rng)
         system = qm.assemble_system(iset)
         grid = grid_lagrange_max(system, region, iset.base, 0.8, step=1e-3, refine=2)
-        for t in range(6):
-            value, _ = po.maximize_abs_lagrange(system, t, region, rng=rng)
-            assert value == pytest.approx(grid[t], abs=1e-4)
+        values, _ = lagrange_maxima(system, region, rng)
+        np.testing.assert_allclose(values, grid, rtol=0, atol=1e-4)
 
     def test_early_exit_returns_known_violation(self, rng):
         region = geo.Box([0.0, 0.0], [2.0, 2.0])
         iset = clustered_set(rng, [0.5, 0.5])
         system = qm.assemble_system(iset)
-        value, point = po.maximize_abs_lagrange(
-            system, 0, region, early_exit_at=5.0, rng=rng
-        )
-        full, _ = po.maximize_abs_lagrange(system, 0, region, rng=rng)
-        assert value > 5.0
-        assert geo.contains(region, point, 1e-8)
-        assert full >= value - 1e-9
+        early = po.check_poisedness(system, region, 5.0, rng=rng)
+        full, _ = lagrange_maxima(system, region, rng)
+        assert early.lambda_observed > 5.0 and not early.verified
+        assert geo.contains(region, early.witness_point, 1e-8)
+        assert full.max() >= early.lambda_observed - 1e-9
 
 
 class TestCheckPoisedness:
@@ -151,6 +160,18 @@ class TestCheckPoisedness:
         assert not cert.verified
         assert "outside" in cert.reason
 
+    def test_misplaced_set_with_early_exit_draws_nothing(self):
+        # The set cannot verify, so no start is drawn and no sweep runs.
+        region = geo.Box([-2.0, -2.0], [2.0, 2.0])
+        iset = po.initial_invertible_set(region, np.zeros(2), 1.0, 6, rng=0)
+        system = qm.assemble_system(iset.replace_point(3, np.array([1.9, 0.0])))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        cert = po.check_poisedness(system, region, 50.0, rng=rng)
+        assert rng.bit_generator.state == state
+        assert not cert.verified and "outside" in cert.reason
+        assert cert.lambda_observed == np.inf and cert.stats is None
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(2, 8), st.floats(-8.0, 0.0),
            st.integers(0, 2**32 - 1))
@@ -175,8 +196,7 @@ class TestCheckPoisedness:
         iset = po.initial_invertible_set(geo.WholeSpace(2), x, r, 6, rng=0)
         far = iset.replace_point(1, x + np.array([1.05 * r, 0.0]))
         assert "outside" in po._misplaced(far.points, geo.WholeSpace(2), x, r)
-        cert = po.check_poisedness(qm.assemble_system(far), geo.WholeSpace(2), 10.0,
-                                   delta=r, rng=0)
+        cert = po.check_poisedness(qm.assemble_system(far), geo.WholeSpace(2), 10.0, rng=0)
         assert not cert.verified
         assert "outside" in cert.reason
 
@@ -205,8 +225,8 @@ class TestCheckPoisedness:
             perturbed_pattern(np.random.default_rng(0), x, 0.5, p, 0.1))
         tracemalloc.start()
         try:
-            cert = po.check_poisedness(system, geo.WholeSpace(n), 10.0, delta=0.5,
-                                       rng=0, early_exit=False)
+            cert = po.check_poisedness(system, geo.WholeSpace(n), 10.0, rng=0,
+                                       early_exit=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -388,10 +408,27 @@ class TestImproveToPoised:
         improved, cert, _ = po.improve_to_poised(far, region, x, 1.0, 6, 10.0, rng=rng)
         assert cert.verified
         assert np.max(np.linalg.norm(improved.points - x, axis=1)) <= 1.0 + 1e-9
-        # infeasible member also triggers reinitialization
+        # an infeasible member inside the ball is repaired in place
         bad = make_set([[0, 0], [1, 0], [0, 1], [-0.5, 0], [0, 0.5], [0.5, 0.5]], x)
         improved2, cert2, _ = po.improve_to_poised(bad, region, x, 1.0, 6, 10.0, rng=rng)
         assert cert2.verified and improved2.feasible(region)
+
+    def test_infeasible_point_is_repaired_in_place(self, monkeypatch):
+        # One point leaves the box but stays in the ball: the loop swaps
+        # that point alone, with no rebuild and no logged level swap.
+        region = geo.Box([0.0, 0.0], [2.0, 2.0])
+        x = np.array([0.5, 0.5])
+        poised, _, _ = po.improve_to_poised(None, region, x, 1.0, 6, 10.0, rng=0)
+        bad = poised.replace_point(3, np.array([-0.1, 0.6]))
+        calls = []
+        monkeypatch.setattr(po, "initial_invertible_set",
+                            lambda *args, **kwargs: calls.append(args))
+        got, cert, swaps = po.improve_to_poised(bad, region, x, 1.0, 6, 10.0, rng=0)
+        assert calls == []
+        assert swaps == []
+        moved = np.flatnonzero(np.any(got.points != bad.points, axis=1))
+        assert moved.tolist() == [3]
+        assert cert.verified and got.feasible(region)
 
     def test_level_must_exceed_one(self, rng):
         region = geo.Box([0.0, 0.0], [2.0, 2.0])
@@ -428,8 +465,8 @@ class TestImproveToPoised:
         stack = po._StackedQuadratics(system)
         skipped = stack.abs_bound_on_ball(delta) <= lam
         assert skipped.any() and not skipped.all()
-        expected = po.check_poisedness(system, region, lam, x=x, delta=delta,
-                                       rng=np.random.default_rng(3), early_exit=False)
+        expected = po.check_poisedness(system, region, lam, rng=np.random.default_rng(3),
+                                       early_exit=False)
         got, cert, swaps = po.improve_to_poised(iset, region, x, delta, 6, lam,
                                                 rng=np.random.default_rng(3))
         assert swaps == []
