@@ -105,12 +105,17 @@ def _solver_config(args):
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     problem_name = options.pop("problem", None) or getattr(args, "problem", None)
     region_spec = options.pop("region", None) or getattr(args, "region", None)
-    config = SolverConfig(**options)
+    return SolverConfig(**options), problem_name, region_spec
+
+
+def _checked(config, problem):
+    """``config`` once it is valid for ``problem``; a bad value is a CliError."""
     try:
         config.validate()
+        config.resolve_npoints(problem.dimension)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    return config, problem_name, region_spec
+    return config
 
 
 def _load_problem(problem_name, region_spec):
@@ -127,6 +132,7 @@ def _load_problem(problem_name, region_spec):
 def cmd_solve(args):
     config, problem_name, region_spec = _solver_config(args)
     problem = _load_problem(problem_name, region_spec)
+    config = _checked(config, problem)
     out = _out_dir(args)
     try:
         x_final, record = solve(problem.f, problem.region, problem.x0, config)
@@ -316,10 +322,10 @@ def cmd_bench(args):
             if kind not in MODEL_KINDS:
                 raise CliError(f"unknown model kind {kind!r}")
             for seed in seeds:
-                config = SolverConfig(
+                config = _checked(SolverConfig(
                     model_kind=kind, seed=seed, max_evals=args.max_evals,
                     npoints=args.points, delta_min=args.delta_min,
-                )
+                ), problem)
                 start = time.perf_counter()
                 x_final, record = solve(problem.f, problem.region, problem.x0, config)
                 wall = time.perf_counter() - start

@@ -3,15 +3,17 @@
 A point set is poised at level Lambda when every one of its Lagrange
 polynomials stays within [-Lambda, Lambda] on the feasible part of the
 trust region, B(x, min(radius, 1)) intersected with the region.  This is
-checked by maximizing |l_t| with a multi-start projected-gradient ascent;
-a found violation is always genuine, while certification quality rests on
-the start coverage (interpolation points, axis points, random feasible
-points) plus an independent grid cross-check in the tests.
+checked by maximizing |l_t| from many starts with the projected-gradient
+polish that also serves the criticality measure and the trust-region step
+(:func:`convexdfo.subproblems._polish`).  A found violation is always
+genuine, while certification quality rests on the start coverage
+(interpolation points, axis points, random feasible points) plus an
+independent grid cross-check in the tests.
 :func:`check_poisedness` is the one place where such a sweep becomes a
 certificate.
 
-A sweep ascends all p polynomials together, one state row per
-(polynomial, sign, start).  Their coefficients come from the system in one
+A sweep polishes all p polynomials together, one row per
+(polynomial, sign, start), each minimizing ``-sign * l_t``.  Their coefficients come from the system in one
 batched build, and the products H_t d gather Hessians for a bounded chunk
 of rows at a time, so a sweep's memory is O(rows * n) on top of the p
 stored Hessians.
@@ -37,6 +39,7 @@ from .geometry import TrustRegionProjector, contains, shrink_into
 from .linear_models import InterpolationSet
 from .quadratic_models import SignedLogDet, assemble_system, det_after_point_swap
 from .sampling import sample_feasible_in_ball
+from .subproblems import _polish, _Quadratics
 
 __all__ = [
     "PoisednessCertificate",
@@ -51,8 +54,6 @@ __all__ = [
 ]
 
 N_RANDOM_STARTS = 20
-MAX_ASCENT_ITERATIONS = 200
-PROJECTED_GRADIENT_TOL = 1e-8
 # Floating-point reading of "nonzero Lagrange value" for replacements.
 REPLACEMENT_TOL = 1e-8
 GEOMETRY_SLACK = 1e-9
@@ -75,7 +76,7 @@ class ThinRegionError(RuntimeError):
 @dataclass
 class SubsolverStats:
     """Bookkeeping from the Lagrange maximization subsolver: start points,
-    ascent rounds, state rows (polynomial, sign, start) and polynomials
+    polish rounds, state rows (polynomial, sign, start) and polynomials
     skipped (held at their best start value by the interval bound)."""
 
     starts: int = 0
@@ -132,7 +133,7 @@ def _ascent_starts(system, region, x, r, rng):
     return TrustRegionProjector(region, x, r)(starts)
 
 
-class _StackedQuadratics:
+class _StackedQuadratics(_Quadratics):
     """Lagrange polynomials ``ts`` of one system, evaluated per row by index.
 
     Built in one batched step by the system's ``stacked_lagrange`` (no
@@ -141,30 +142,16 @@ class _StackedQuadratics:
     """
 
     def __init__(self, system, ts=slice(None)):
-        self.base = system.base
-        self.c, self.g, self.H = system.stacked_lagrange(ts)
+        super().__init__(system.base, *system.stacked_lagrange(ts))
 
     def _hess_times(self, D, which):
         # The same gathered einsum on each chunk of rows gives the same
         # bits as on all rows at once (a BLAS product D @ H_t does not).
         chunk = max(1, _GATHER_BYTES // self.H[0].nbytes)
         if len(D) <= chunk:
-            return np.einsum("rij,rj->ri", self.H[which], D)
+            return super()._hess_times(D, which)
         return np.concatenate([self._hess_times(D[lo:lo + chunk], which[lo:lo + chunk])
                                for lo in range(0, len(D), chunk)])
-
-    def values(self, Y, which):
-        D = Y - self.base
-        G = self.g[which]
-        if self.H is not None:
-            G = G + 0.5 * self._hess_times(D, which)
-        return self.c[which] + np.einsum("ri,ri->r", D, G)
-
-    def grads(self, Y, which):
-        G = self.g[which]
-        if self.H is not None:
-            G = G + self._hess_times(Y - self.base, which)
-        return G
 
     def abs_bound_on_ball(self, r):
         """Per-polynomial upper bound for |value| on B(base, r)."""
@@ -178,99 +165,38 @@ class _StackedQuadratics:
 
 def _ascend_stacked(stack, starts, region, x, r, early_exit_at=None,
                     skip_bounded_at=None):
-    """Multi-start projected-gradient ascent on |l_t| for all t at once.
+    """Maximum of |l_t| for all t at once: :func:`_polish` of ``-sign * l_t``.
 
-    One ascent state row per (polynomial, sign, start) triple, so every
-    projection call covers the whole sweep.  Returns per-polynomial best
-    values and points plus the :class:`SubsolverStats`.  With
-    ``early_exit_at`` set, stops as soon as any row exceeds it (a found
-    violation is always genuine; only the above/below answer is needed
-    then).  With ``skip_bounded_at``, polynomials whose interval bound on
-    the search ball already sits below the threshold keep only their start
-    values (they cannot cross the threshold, so their exact maxima are not
-    needed).
+    One row per (polynomial, sign, start) triple, so every projection call
+    covers the whole sweep.  A row's value only improves, so the final rows
+    give each polynomial's best value and point; returns those plus the
+    :class:`SubsolverStats`.  With ``early_exit_at`` set, stops as soon as
+    any row exceeds it (a found violation is always genuine; only the
+    above/below answer is needed then).  With ``skip_bounded_at``,
+    polynomials whose interval bound on the search ball already sits below
+    the threshold keep only their start values (they cannot cross the
+    threshold, so their exact maxima are not needed).
     """
-    proj = TrustRegionProjector(region, x, r)
-
     npolys, m = len(stack.c), len(starts)
     Y = np.tile(starts, (2 * npolys, 1))
     which = np.repeat(np.arange(npolys), 2 * m)
-    signs = np.tile(np.repeat([1.0, -1.0], m), npolys)
-    vals = signs * stack.values(Y, which)
-    steps = np.full(len(Y), r)
-    active = np.ones(len(Y), dtype=bool)
+    signs = np.tile(np.repeat([-1.0, 1.0], m), npolys)
+    rows = np.arange(len(Y))
     stats = SubsolverStats(starts=m, rows=len(Y))
     if skip_bounded_at is not None:
         # Displacements from the polynomial base stay within this radius.
         reach = r + float(np.linalg.norm(x - stack.base))
         bounded = stack.abs_bound_on_ball(reach) <= skip_bounded_at
-        active &= ~bounded[which]
+        rows = np.flatnonzero(~bounded[which])
         stats.skipped = int(np.count_nonzero(bounded))
-
-    best_vals = np.full(npolys, -np.inf)
-    best_pts = np.empty((npolys, x.size))
-
-    def record(rows):
-        if len(rows) == 0:
-            return
-        np.maximum.at(best_vals, which[rows], vals[rows])
-        hits = rows[vals[rows] >= best_vals[which[rows]]]
-        best_pts[which[hits]] = Y[hits]
-
-    record(np.arange(len(Y)))
-
-    for _ in range(MAX_ASCENT_ITERATIONS):
-        if early_exit_at is not None and best_vals.max() > early_exit_at:
-            break
-        if stats.iterations >= 30:
-            # Grace period over: drop rows clearly dominated within their
-            # own polynomial (their basin has been covered by a better start).
-            lagging = vals < best_vals[which] - 1e-4 * (1.0 + np.abs(best_vals[which]))
-            active &= ~lagging
-        if not np.any(active):
-            break
-        stats.iterations += 1
-        idx = np.flatnonzero(active)
-        G = signs[idx, None] * stack.grads(Y[idx], which[idx])
-        # Keep probe and candidate displacements within the search ball so
-        # the intersection projections only see nearby queries.
-        norms = np.linalg.norm(G, axis=1, keepdims=True)
-        G = G * np.minimum(1.0, r / np.maximum(norms, 1e-300))
-
-        # First-order stationarity via the (clipped) unit-step gradient mapping.
-        pg = proj(Y[idx] + G) - Y[idx]
-        converged = np.linalg.norm(pg, axis=1) <= PROJECTED_GRADIENT_TOL
-        active[idx[converged]] = False
-        idx, G = idx[~converged], G[~converged]
-        if idx.size == 0:
-            continue
-
-        # Backtracking: halve per-row steps until the value improves.
-        pending = np.ones(idx.size, dtype=bool)
-        for _halving in range(40):
-            rows = np.flatnonzero(pending)
-            cand = proj(Y[idx[rows]] + steps[idx[rows], None] * G[rows])
-            cand_vals = signs[idx[rows]] * stack.values(cand, which[idx[rows]])
-            accepted = cand_vals > vals[idx[rows]] + 1e-15
-            if np.any(accepted):
-                takers = idx[rows[accepted]]
-                gain = cand_vals[accepted] - vals[takers]
-                Y[takers] = cand[accepted]
-                vals[takers] = cand_vals[accepted]
-                record(takers)
-                # Rows whose gains have gone negligible are done (their
-                # remaining headroom is far below the certificate tolerance).
-                stalled = takers[gain <= 1e-8 * (1.0 + np.abs(vals[takers]))]
-                active[stalled] = False
-                pending[rows[accepted]] = False
-            if not np.any(pending):
-                break
-            steps[idx[rows[~accepted]]] *= 0.5
-        # Gentle step growth for rows that accepted; park the stuck ones.
-        steps[idx[~pending]] = np.minimum(steps[idx[~pending]] * 2.0, r)
-        active[idx[pending]] = False
-
-    return best_vals, best_pts, stats
+    vals, stats.iterations = _polish(
+        stack, which, signs, Y, rows, TrustRegionProjector(region, x, r), r,
+        1e-12 * (r + float(np.linalg.norm(x))),
+        stop=None if early_exit_at is None else -early_exit_at)
+    found = -vals.reshape(npolys, 2 * m)
+    best = np.argmax(found, axis=1)
+    polys = np.arange(npolys)
+    return found[polys, best], Y.reshape(npolys, 2 * m, -1)[polys, best], stats
 
 
 def _outside_ball(points, x, radius):

@@ -14,7 +14,10 @@ descent on the quadratic model toward the generalized Cauchy decrease
 The descent searches the projected-gradient path, backtracking to the
 target or extrapolating past it, then polishes with projected-gradient
 steps and exact segment linesearch (Conn, Gould & Toint, *Trust-Region
-Methods*, ch. 12).
+Methods*, ch. 12).  The polish, :func:`_polish`, runs on a stack of
+quadratics, one row each: the model is a stack of one row, and the
+Lagrange sweep of :mod:`convexdfo.poisedness` polishes all of its rows
+at once with the same routine.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ __all__ = [
 ]
 
 CAUCHY_HALVINGS = 50
-DESCENT_STEPS = 500
+DESCENT_STEPS = 200
 
 
 @dataclass
@@ -84,15 +87,67 @@ def cauchy_decrease_target(pi, hess_norm, delta, c1):
     return c1 * pi * min(pi / (1.0 + hess_norm), delta, 1.0)
 
 
-def _segment_minimize(model, y, d):
-    """Exact minimizer of the quadratic model on the segment [y, y + d]."""
-    gd = float(model.grad(y) @ d)
-    dHd = float(d @ model.hessian() @ d)
-    if dHd > 0:
-        t = min(1.0, max(0.0, -gd / dHd))
-    else:
-        t = 1.0 if gd < 0 else 0.0
-    return y + t * d
+class _Quadratics:
+    """Quadratics ``c_t + g_t^T d + d^T H_t d / 2`` in ``d = y - base``,
+    evaluated per row by index ``which``; ``H`` is None when all are affine."""
+
+    def __init__(self, base, c, g, H):
+        self.base, self.c, self.g, self.H = base, c, g, H
+
+    def _hess_times(self, D, which):
+        return np.einsum("rij,rj->ri", self.H[which], D)
+
+    def values(self, Y, which):
+        D = Y - self.base
+        G = self.g[which]
+        if self.H is not None:
+            G = G + 0.5 * self._hess_times(D, which)
+        return self.c[which] + np.einsum("ri,ri->r", D, G)
+
+    def grads(self, Y, which):
+        G = self.g[which]
+        if self.H is not None:
+            G = G + self._hess_times(Y - self.base, which)
+        return G
+
+    def curvature(self, D, which):
+        """``d^T H_t d`` for each row d of ``D``."""
+        if self.H is None:
+            return np.zeros(len(D))
+        return np.einsum("ri,ri->r", D, self._hess_times(D, which))
+
+
+def _polish(stack, which, signs, Y, rows, proj, radius, moved_tol, stop=None):
+    """Projected-gradient descent of ``signs[i] * q_{which[i]}`` from each row of ``Y``.
+
+    Only the rows indexed by ``rows`` move.  In each round a row moves to
+    ``P(y - (radius / ||grad||) grad)``, with ``P`` the projector ``proj``,
+    and then to the exact minimizer of its own quadratic on that segment.
+    A row stops at its first step that does not lower its value strictly or
+    that moves by at most ``moved_tol``.  Every row stops after
+    ``DESCENT_STEPS`` rounds, or once some row's value is below ``stop``.
+    ``Y`` is updated in place; returns the rows' values and the number of
+    rounds run.
+    """
+    vals = signs * stack.values(Y, which)
+    rounds = 0
+    while rows.size and rounds < DESCENT_STEPS and (stop is None or vals.min() >= stop):
+        rounds += 1
+        y, w, s = Y[rows], which[rows], signs[rows]
+        G = s[:, None] * stack.grads(y, w)
+        # A zero gradient gives a zero step, so its row stops.
+        step = radius / np.maximum(np.linalg.norm(G, axis=1), 1e-300)
+        D = proj(y - step[:, None] * G) - y
+        gd, dHd = np.einsum("ri,ri->r", G, D), s * stack.curvature(D, w)
+        t = np.where(gd < 0.0, 1.0, 0.0)
+        curved = dHd > 0.0
+        t[curved] = np.clip(-gd[curved] / dHd[curved], 0.0, 1.0)
+        y_new = y + t[:, None] * D
+        v_new = s * stack.values(y_new, w)
+        ok = (v_new < vals[rows]) & (np.linalg.norm(y_new - y, axis=1) > moved_tol)
+        rows = rows[ok]
+        Y[rows], vals[rows] = y_new[ok], v_new[ok]
+    return vals, rounds
 
 
 def _cauchy_search(model, x, g, m_x, tr_proj, radius, target):
@@ -141,30 +196,22 @@ def _cauchy_search(model, x, g, m_x, tr_proj, radius, target):
 def _descend(model, x, region, radius, target):
     """Best step found in region ∩ B(x, radius) from x, and its model decrease.
 
-    Phase 1 is :func:`_cauchy_search` toward ``target``.  Phase 2 takes
-    projected-gradient steps of length ``radius / ||grad m||``, each
-    followed by exact linesearch on the segment, while the decrease grows
-    strictly and a step moves by more than ``1e-12 * (radius + ||x||)``, at
-    most ``DESCENT_STEPS`` times.
+    Phase 1 is :func:`_cauchy_search` toward ``target``.  Phase 2 is
+    :func:`_polish` from its step, on the model as a stack of one row, with
+    steps of length ``radius / ||grad m||`` that must move by more than
+    ``1e-12 * (radius + ||x||)``.
     """
     tr_proj = TrustRegionProjector(region, x, radius)
     m_x = model.value(x)
     best_s, best_red = _cauchy_search(model, x, model.grad(x), m_x, tr_proj, radius, target)
-    moved_tol = 1e-12 * (radius + float(np.linalg.norm(x)))
-    y = x + best_s
-    for _ in range(DESCENT_STEPS):
-        gy = model.grad(y)
-        gy_norm = float(np.linalg.norm(gy))
-        if gy_norm == 0.0:
-            break
-        d = tr_proj((y - (radius / gy_norm) * gy)[None, :])[0] - y
-        y_new = _segment_minimize(model, y, d)
-        red = m_x - model.value(y_new)
-        if red <= best_red or np.linalg.norm(y_new - y) <= moved_tol:
-            break
-        best_s, best_red = y_new - x, red
-        y = y_new
-    return best_s, best_red
+    one = _Quadratics(model.base, np.array([model.c]), model.g[None], model.hessian()[None])
+    row = np.zeros(1, dtype=int)
+    Y = (x + best_s)[None]
+    _polish(one, row, np.ones(1), Y, row, tr_proj, radius,
+            1e-12 * (radius + float(np.linalg.norm(x))))
+    if np.array_equal(Y[0], x + best_s):
+        return best_s, best_red
+    return Y[0] - x, m_x - model.value(Y[0])
 
 
 def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None):

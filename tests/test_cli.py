@@ -166,6 +166,14 @@ class TestCliSolve:
         assert "solver failure" in capsys.readouterr().err
         assert (tmp_path / "runrecord.csv").exists()
 
+    def test_points_out_of_range_exits_2(self, tmp_path, capsys):
+        # quad2d has n = 2, so p must lie in [4, 6].
+        code = main(["solve", "--problem", "quad2d", "--points", "100",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "npoints=100" in err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = quad2d\nwarp_speed = 9\n")
@@ -276,6 +284,17 @@ class TestCliBench:
             ])
         assert (tmp_path / "a" / "bench.csv").read_bytes() == \
                (tmp_path / "b" / "bench.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag, value, says", [
+        ("--points", "100", "npoints=100"),
+        ("--delta-min", "-1", "delta_min"),
+    ])
+    def test_bad_config_value_exits_2(self, flag, value, says, tmp_path, capsys):
+        code = main(["bench", "--problems", "quad2d", flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and says in err
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONVEXDFO_OUT_DIR", str(tmp_path / "envout"))
