@@ -168,12 +168,12 @@ class RegressionBasis:
         col = self.lagrange_coeffs[:, t]
         return LinearModel(float(col[0]), col[1:].copy(), self.base)
 
-    def stacked_lagrange(self, ts=slice(None)):
-        """``(c, g, None)`` of the Lagrange polynomials ``ts`` (all by
-        default), stacked along the first axis; they are affine, so there
-        is no Hessian."""
-        coeffs = self.lagrange_coeffs[:, ts]
-        return coeffs[0], np.ascontiguousarray(coeffs[1:].T), None
+    def stacked_lagrange(self):
+        """``(c, g, None, None)`` of all p Lagrange polynomials, stacked
+        along the first axis; they are affine, so there is no Hessian
+        factor."""
+        coeffs = self.lagrange_coeffs
+        return coeffs[0], np.ascontiguousarray(coeffs[1:].T), None, None
 
     def lagrange_values(self, y):
         """All p Lagrange polynomial values at one point ``y``."""

@@ -13,10 +13,13 @@ independent grid cross-check in the tests.
 certificate.
 
 A sweep polishes all p polynomials together, one row per
-(polynomial, sign, start), each minimizing ``-sign * l_t``.  Their coefficients come from the system in one
-batched build, and the products H_t d gather Hessians for a bounded chunk
-of rows at a time, so a sweep's memory is O(rows * n) on top of the p
-stored Hessians.
+(polynomial, sign, start), each minimizing ``-sign * l_t``.  The
+polynomials share one Hessian factor, ``H_t = U^T diag(w_t) U`` with ``U``
+the scaled displacements and ``w_t`` the multipliers of ``l_t``, so the
+products H_t d for all rows take two matrix products and a sweep's memory
+is O(rows * p); no Hessian is stored.  A polynomial whose interval bound on
+the search ball, with its exact ||H_t||, is at most the level cannot exceed
+it: its rows are never evaluated, and it keeps its best start value.
 
 One check-then-swap loop builds and repairs every set: each round checks
 the set and replaces one point by a feasible point where that point's
@@ -57,8 +60,6 @@ N_RANDOM_STARTS = 20
 # Floating-point reading of "nonzero Lagrange value" for replacements.
 REPLACEMENT_TOL = 1e-8
 GEOMETRY_SLACK = 1e-9
-# Bytes of per-row Hessians one H_t d product may gather at a time.
-_GATHER_BYTES = 1 << 20
 
 
 class PoisednessImprovementError(RuntimeError):
@@ -133,67 +134,34 @@ def _ascent_starts(system, region, x, r, rng):
     return TrustRegionProjector(region, x, r)(starts)
 
 
-class _StackedQuadratics(_Quadratics):
-    """Lagrange polynomials ``ts`` of one system, evaluated per row by index.
-
-    Built in one batched step by the system's ``stacked_lagrange`` (no
-    Hessian for affine regression polynomials).  Each H_t d product gathers
-    at most ``_GATHER_BYTES`` of Hessians, never a (rows, n, n) array.
-    """
-
-    def __init__(self, system, ts=slice(None)):
-        super().__init__(system.base, *system.stacked_lagrange(ts))
-
-    def _hess_times(self, D, which):
-        # The same gathered einsum on each chunk of rows gives the same
-        # bits as on all rows at once (a BLAS product D @ H_t does not).
-        chunk = max(1, _GATHER_BYTES // self.H[0].nbytes)
-        if len(D) <= chunk:
-            return super()._hess_times(D, which)
-        return np.concatenate([self._hess_times(D[lo:lo + chunk], which[lo:lo + chunk])
-                               for lo in range(0, len(D), chunk)])
-
-    def abs_bound_on_ball(self, r):
-        """Per-polynomial upper bound for |value| on B(base, r)."""
-        gnorm = np.sqrt(np.einsum("ti,ti->t", self.g, self.g))
-        bound = np.abs(self.c) + gnorm * r
-        if self.H is not None:
-            hnorm = np.max(np.abs(np.linalg.eigvalsh(self.H)), axis=1)
-            bound = bound + 0.5 * hnorm * r**2
-        return bound
-
-
-def _ascend_stacked(stack, starts, region, x, r, early_exit_at=None,
-                    skip_bounded_at=None):
+def _ascend_stacked(system, starts, region, x, r, lam, early_exit):
     """Maximum of |l_t| for all t at once: :func:`_polish` of ``-sign * l_t``.
 
     One row per (polynomial, sign, start) triple, so every projection call
     covers the whole sweep.  A row's value only improves, so the final rows
     give each polynomial's best value and point; returns those plus the
-    :class:`SubsolverStats`.  With ``early_exit_at`` set, stops as soon as
-    any row exceeds it (a found violation is always genuine; only the
-    above/below answer is needed then).  With ``skip_bounded_at``,
-    polynomials whose interval bound on the search ball already sits below
-    the threshold keep only their start values (they cannot cross the
-    threshold, so their exact maxima are not needed).
+    :class:`SubsolverStats`.  Polynomials whose interval bound on the search
+    ball is at most ``lam`` cannot exceed it: their rows are never polished
+    nor evaluated, and keep their start values from the system.  With
+    ``early_exit``, stops as soon as any row exceeds ``lam`` (a found
+    violation is always genuine; only the above/below answer is needed then).
     """
+    stack = _Quadratics(system.base, *system.stacked_lagrange())
     npolys, m = len(stack.c), len(starts)
     Y = np.tile(starts, (2 * npolys, 1))
     which = np.repeat(np.arange(npolys), 2 * m)
     signs = np.tile(np.repeat([-1.0, 1.0], m), npolys)
-    rows = np.arange(len(Y))
-    stats = SubsolverStats(starts=m, rows=len(Y))
-    if skip_bounded_at is not None:
-        # Displacements from the polynomial base stay within this radius.
-        reach = r + float(np.linalg.norm(x - stack.base))
-        bounded = stack.abs_bound_on_ball(reach) <= skip_bounded_at
-        rows = np.flatnonzero(~bounded[which])
-        stats.skipped = int(np.count_nonzero(bounded))
+    # Displacements from the polynomial base stay within this radius.
+    bounded = stack.abs_bound_on_ball(r + float(np.linalg.norm(x - system.base))) <= lam
+    rows = np.flatnonzero(~bounded[which])
+    stats = SubsolverStats(starts=m, rows=len(Y), skipped=int(np.count_nonzero(bounded)))
     vals, stats.iterations = _polish(
         stack, which, signs, Y, rows, TrustRegionProjector(region, x, r), r,
         1e-12 * (r + float(np.linalg.norm(x))),
-        stop=None if early_exit_at is None else -early_exit_at)
-    found = -vals.reshape(npolys, 2 * m)
+        stop=-lam if early_exit else None)
+    at_starts = system.lagrange_values_many(starts).T
+    found = np.concatenate([at_starts, -at_starts], axis=1)
+    found.flat[rows] = -vals  # row order whatever the layout concatenate chose
     best = np.argmax(found, axis=1)
     polys = np.arange(npolys)
     return found[polys, best], Y.reshape(npolys, 2 * m, -1)[polys, best], stats
@@ -250,9 +218,7 @@ def check_poisedness(system, region, lam, beta=1.0, rng=None, early_exit=True):
                                      witness_point=None, verified=False, reason=why)
     starts = _ascent_starts(system, region, x, r, rng)
     values, points, stats = _ascend_stacked(
-        _StackedQuadratics(system), starts, region, x, r,
-        early_exit_at=lam if early_exit else None, skip_bounded_at=lam,
-    )
+        system, starts, region, x, r, lam, early_exit)
     worst = int(np.argmax(values))
     lam_obs = float(values[worst])
     verified = not why and lam_obs <= lam

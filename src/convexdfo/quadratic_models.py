@@ -106,7 +106,6 @@ class QuadraticModel:
     g: np.ndarray
     H: np.ndarray
     base: np.ndarray
-    multipliers: np.ndarray | None = None
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
@@ -208,24 +207,21 @@ class MfnSystem:
             g=g_scaled / self.scale,
             H=H_scaled / self.scale**2,
             base=self.base,
-            multipliers=lam.copy(),
         )
 
-    def stacked_lagrange(self, ts=slice(None)):
-        """``(c, g, H)`` of the Lagrange polynomials ``ts`` (all by default),
-        stacked along the first axis, in original coordinates.
+    def stacked_lagrange(self):
+        """``(c, g, U, w)`` of all p Lagrange polynomials in original
+        coordinates, stacked along the first axis of ``c``, ``g`` and ``w``.
 
-        One batched product builds every H_t = Z^T diag(lambda_t) Z; the
-        arithmetic per polynomial is that of :meth:`lagrange_polynomial`
-        (scale, then symmetrize), so the two agree bit for bit.
+        Every Hessian is ``H_t = U^T diag(w_t) U`` with ``U = Z / scale``
+        and ``w_t = lambda_t`` the polynomial's multipliers; no Hessian is
+        formed.
         """
         self._require_invertible()
         p = self.npoints
-        sol = self.lagrange_solutions[:, ts]
-        lam = np.ascontiguousarray(sol[:p].T)
-        H = np.matmul(self.Z.T[None], lam[:, :, None] * self.Z) / self.scale**2
+        sol = self.lagrange_solutions
         g = np.ascontiguousarray(sol[p + 1:].T) / self.scale
-        return sol[p], g, 0.5 * (H + H.transpose(0, 2, 1))
+        return sol[p], g, self.Z / self.scale, np.ascontiguousarray(sol[:p].T)
 
     def lagrange_values(self, y):
         """All p Lagrange polynomial values at ``y`` via e_t^T F^{-1} phi(y)."""
@@ -321,7 +317,6 @@ def fit_mfn_model(system, values):
         g=g_scaled / system.scale,
         H=H_scaled / system.scale**2,
         base=system.base,
-        multipliers=lam.copy(),
     )
 
 

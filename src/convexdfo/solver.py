@@ -14,9 +14,11 @@ trust-region ball around the current iterate.
 
 Models come in two kinds: linear regression on the sample set, or
 minimum-Frobenius-norm quadratic interpolation.  Both share the same
-geometry maintenance: point sets are constructed and repaired through the
-quadratic interpolation system, whose poisedness also bounds the
-regression polynomials.
+geometry maintenance: point sets are constructed, repaired and certified
+through the quadratic interpolation system.  A regression run is thus
+certified at the level of the quadratic Lagrange polynomials, not at that
+of its own regression Lagrange polynomials, which the paper's regression
+accuracy bound takes.
 
 The point set carries its own values and is the solver's only store of
 evaluations: a repaired set takes each value it can from the set it
@@ -258,8 +260,8 @@ def _build_model(iset, model_kind):
     basis = build_design_matrix(iset, require_full_rank=False)
     if not basis.full_rank:
         return None, None
-    # Geometry certification still runs on the quadratic system (it also
-    # bounds the regression polynomials), so assemble it alongside.
+    # Geometry certification runs on the quadratic system, at its level
+    # rather than the regression polynomials' level, so assemble it alongside.
     system = assemble_system(iset, require_invertible=False)
     if not system.invertible:
         return None, None

@@ -15,9 +15,9 @@ The descent searches the projected-gradient path, backtracking to the
 target or extrapolating past it, then polishes with projected-gradient
 steps and exact segment linesearch (Conn, Gould & Toint, *Trust-Region
 Methods*, ch. 12).  The polish, :func:`_polish`, runs on a stack of
-quadratics, one row each: the model is a stack of one row, and the
-Lagrange sweep of :mod:`convexdfo.poisedness` polishes all of its rows
-at once with the same routine.
+quadratics with one Hessian factor, one row each: the model is a stack of
+one row, and the Lagrange sweep of :mod:`convexdfo.poisedness` polishes
+all of its rows at once with the same routine.
 """
 
 from __future__ import annotations
@@ -89,51 +89,69 @@ def cauchy_decrease_target(pi, hess_norm, delta, c1):
 
 class _Quadratics:
     """Quadratics ``c_t + g_t^T d + d^T H_t d / 2`` in ``d = y - base``,
-    evaluated per row by index ``which``; ``H`` is None when all are affine."""
+    evaluated per row by index ``which``.
 
-    def __init__(self, base, c, g, H):
-        self.base, self.c, self.g, self.H = base, c, g, H
+    Every Hessian shares one factor: ``H_t = U^T diag(w_t) U``, so
+    ``H_t d = U^T (w_t * U d)`` costs two products over all rows and
+    O(rows * len(U)) memory.  ``U`` is None when all are affine.
+    """
+
+    def __init__(self, base, c, g, U, w):
+        self.base, self.c, self.g, self.U, self.w = base, c, g, U, w
 
     def _hess_times(self, D, which):
-        return np.einsum("rij,rj->ri", self.H[which], D)
+        return (self.w[which] * (D @ self.U.T)) @ self.U
 
     def values(self, Y, which):
         D = Y - self.base
         G = self.g[which]
-        if self.H is not None:
+        if self.U is not None:
             G = G + 0.5 * self._hess_times(D, which)
         return self.c[which] + np.einsum("ri,ri->r", D, G)
 
     def grads(self, Y, which):
         G = self.g[which]
-        if self.H is not None:
+        if self.U is not None:
             G = G + self._hess_times(Y - self.base, which)
         return G
 
     def curvature(self, D, which):
         """``d^T H_t d`` for each row d of ``D``."""
-        if self.H is None:
+        if self.U is None:
             return np.zeros(len(D))
         return np.einsum("ri,ri->r", D, self._hess_times(D, which))
+
+    def abs_bound_on_ball(self, r):
+        """Per-quadratic upper bound for |value| on B(base, r), with the
+        exact ||H_t|| from the Hessians built once."""
+        gnorm = np.sqrt(np.einsum("ti,ti->t", self.g, self.g))
+        bound = np.abs(self.c) + gnorm * r
+        if self.U is not None:
+            H = (self.U.T * self.w[:, None, :]) @ self.U
+            hnorm = np.max(np.abs(np.linalg.eigvalsh(H)), axis=1)
+            bound = bound + 0.5 * hnorm * r**2
+        return bound
 
 
 def _polish(stack, which, signs, Y, rows, proj, radius, moved_tol, stop=None):
     """Projected-gradient descent of ``signs[i] * q_{which[i]}`` from each row of ``Y``.
 
-    Only the rows indexed by ``rows`` move.  In each round a row moves to
-    ``P(y - (radius / ||grad||) grad)``, with ``P`` the projector ``proj``,
-    and then to the exact minimizer of its own quadratic on that segment.
-    A row stops at its first step that does not lower its value strictly or
-    that moves by at most ``moved_tol``.  Every row stops after
-    ``DESCENT_STEPS`` rounds, or once some row's value is below ``stop``.
-    ``Y`` is updated in place; returns the rows' values and the number of
-    rounds run.
+    Only the rows indexed by ``rows`` are evaluated and move.  In each
+    round a row moves to ``P(y - (radius / ||grad||) grad)``, with ``P`` the
+    projector ``proj``, and then to the exact minimizer of its own quadratic
+    on that segment.  A row stops at its first step that does not lower its
+    value strictly or that moves by at most ``moved_tol``.  Every row stops
+    after ``DESCENT_STEPS`` rounds, or once some row's value is below
+    ``stop``.  ``Y`` is updated in place; returns the values of the rows
+    ``rows``, in their order, and the number of rounds run.
     """
-    vals = signs * stack.values(Y, which)
+    vals = signs[rows] * stack.values(Y[rows], which[rows])
+    active = np.arange(rows.size)
     rounds = 0
-    while rows.size and rounds < DESCENT_STEPS and (stop is None or vals.min() >= stop):
+    while active.size and rounds < DESCENT_STEPS and (stop is None or vals.min() >= stop):
         rounds += 1
-        y, w, s = Y[rows], which[rows], signs[rows]
+        moving = rows[active]
+        y, w, s = Y[moving], which[moving], signs[moving]
         G = s[:, None] * stack.grads(y, w)
         # A zero gradient gives a zero step, so its row stops.
         step = radius / np.maximum(np.linalg.norm(G, axis=1), 1e-300)
@@ -144,9 +162,9 @@ def _polish(stack, which, signs, Y, rows, proj, radius, moved_tol, stop=None):
         t[curved] = np.clip(-gd[curved] / dHd[curved], 0.0, 1.0)
         y_new = y + t[:, None] * D
         v_new = s * stack.values(y_new, w)
-        ok = (v_new < vals[rows]) & (np.linalg.norm(y_new - y, axis=1) > moved_tol)
-        rows = rows[ok]
-        Y[rows], vals[rows] = y_new[ok], v_new[ok]
+        ok = (v_new < vals[active]) & (np.linalg.norm(y_new - y, axis=1) > moved_tol)
+        active = active[ok]
+        Y[rows[active]], vals[active] = y_new[ok], v_new[ok]
     return vals, rounds
 
 
@@ -197,14 +215,16 @@ def _descend(model, x, region, radius, target):
     """Best step found in region ∩ B(x, radius) from x, and its model decrease.
 
     Phase 1 is :func:`_cauchy_search` toward ``target``.  Phase 2 is
-    :func:`_polish` from its step, on the model as a stack of one row, with
-    steps of length ``radius / ||grad m||`` that must move by more than
+    :func:`_polish` from its step, on the model as a stack of one row whose
+    Hessian is factored once by ``eigh``, with steps of length
+    ``radius / ||grad m||`` that must move by more than
     ``1e-12 * (radius + ||x||)``.
     """
     tr_proj = TrustRegionProjector(region, x, radius)
     m_x = model.value(x)
     best_s, best_red = _cauchy_search(model, x, model.grad(x), m_x, tr_proj, radius, target)
-    one = _Quadratics(model.base, np.array([model.c]), model.g[None], model.hessian()[None])
+    w, V = np.linalg.eigh(model.hessian())
+    one = _Quadratics(model.base, np.array([model.c]), model.g[None], V.T, w[None])
     row = np.zeros(1, dtype=int)
     Y = (x + best_s)[None]
     _polish(one, row, np.ones(1), Y, row, tr_proj, radius,

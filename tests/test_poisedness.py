@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from convexdfo import poisedness as po
 from convexdfo import quadratic_models as qm
 from convexdfo import subproblems as sp
 from convexdfo.linear_models import InterpolationSet, build_design_matrix
-from convexdfo.solver import SolverConfig, solve
 
 from oracles import dense_signed_logdet, grid_lagrange_max
 
@@ -34,12 +32,12 @@ def perturbed_pattern(rng, x, delta, p, spread):
 
 
 class GatheredStack:
-    """Reference for ``po._StackedQuadratics``: one Lagrange polynomial
-    object per index, a (rows, n, n) gather of their Hessians in each
-    product and one ``eigvalsh`` call per Hessian."""
+    """Reference for the sweep's factored ``sp._Quadratics``: one Lagrange
+    polynomial object per index, a (rows, n, n) gather of their Hessians in
+    each product and one ``eigvalsh`` call per Hessian."""
 
-    def __init__(self, system, ts=slice(None)):
-        polys = [system.lagrange_polynomial(t) for t in np.arange(system.npoints)[ts]]
+    def __init__(self, system):
+        polys = [system.lagrange_polynomial(t) for t in range(system.npoints)]
         self.base = polys[0].base
         self.c = np.array([q.c for q in polys])
         self.g = np.array([q.g for q in polys])
@@ -238,8 +236,8 @@ class TestCheckPoisedness:
         rng = np.random.default_rng(0)
         system = qm.assemble_system(perturbed_pattern(rng, np.zeros(2), 1.0, 5, 0.2))
         grad_rows = []
-        grads = po._StackedQuadratics.grads
-        monkeypatch.setattr(po._StackedQuadratics, "grads",
+        grads = po._Quadratics.grads
+        monkeypatch.setattr(po._Quadratics, "grads",
                             lambda self, Y, which: grad_rows.append(len(Y)) or
                             grads(self, Y, which))
         cert = po.check_poisedness(system, geo.WholeSpace(2), 1.5, rng=0,
@@ -248,22 +246,33 @@ class TestCheckPoisedness:
         assert cert.stats.iterations == len(grad_rows) < sp.DESCENT_STEPS
         assert np.all(np.diff(grad_rows) <= 0)
 
-    def test_sweep_memory_is_linear_in_rows(self):
+    @pytest.mark.parametrize("lam,skipped,peak_bound", [(10.0, 41, 3e6),
+                                                        (1 + 1e-7, 23, 12e6)])
+    def test_sweep_memory_is_linear_in_rows(self, lam, skipped, peak_bound):
         # n = 20, p = 41: 8,282 ascent rows.  A (rows, n, n) Hessian gather
-        # alone takes 26.5 MB.
+        # alone takes 26.5 MB.  At lam = 1 + 1e-7 the 18 polynomials above
+        # their interval bound are polished.  At lam = 10 every polynomial
+        # is skipped and its rows are never evaluated: the 3 MB bound leaves
+        # 1.1 MB over the 1.9 MB measured peak, less than the 2.7 MB of one
+        # (rows, p) product that evaluating those rows would take.
         n, p = 20, 41
         x = np.full(n, 0.3)
         system = qm.assemble_system(
             perturbed_pattern(np.random.default_rng(0), x, 0.5, p, 0.1))
         tracemalloc.start()
         try:
-            cert = po.check_poisedness(system, geo.WholeSpace(n), 10.0, rng=0,
+            cert = po.check_poisedness(system, geo.WholeSpace(n), lam, rng=0,
                                        early_exit=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12e6
+        assert peak <= peak_bound
         assert cert.stats.rows == 2 * p * (p + 2 * n + po.N_RANDOM_STARTS)
+        assert cert.stats.skipped == skipped
+        assert (cert.stats.iterations > 0) == (skipped < p)
+        # Each reported value is |l_t| at the reported point.
+        at_best = system.lagrange_values_many(cert.best_points)[np.arange(p), np.arange(p)]
+        np.testing.assert_allclose(cert.per_polynomial, np.abs(at_best), rtol=1e-9)
 
     def test_regression_basis_dispatch(self, rng):
         region = geo.Box([-1.0, -1.0], [1.0, 1.0])
@@ -283,15 +292,17 @@ class TestCheckPoisedness:
 class TestStackedQuadratics:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 20), extra=st.integers(0, 40), rows=st.integers(0, 60),
-           budget=st.sampled_from([1, 2000, po._GATHER_BYTES]),
            regression=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    @example(n=3, extra=2, rows=0, budget=1, regression=False, seed=0)
-    @example(n=3, extra=2, rows=1, budget=po._GATHER_BYTES, regression=False, seed=0)
-    @example(n=20, extra=20, rows=1, budget=1, regression=True, seed=0)
-    def test_matches_per_polynomial_reference(self, n, extra, rows, budget, regression,
-                                              seed):
-        # Any gather budget, either system kind, any sorted subset of rows
-        # (empty and single rows included): the same bits as the reference.
+    @example(n=3, extra=2, rows=0, regression=False, seed=0)
+    @example(n=3, extra=2, rows=1, regression=False, seed=0)
+    @example(n=20, extra=20, rows=1, regression=True, seed=0)
+    def test_matches_per_polynomial_reference(self, n, extra, rows, regression, seed):
+        # Either system kind, any sorted subset of rows (empty and single
+        # rows included).  The factored products and the gathered Hessians
+        # round differently: each result must agree with the reference to
+        # 1e-12 of its forward-error scale, the same expression over
+        # absolute values |c|, |g|, |U|, |w| and |d| (for the bound, the
+        # looser sum of |w_tj| ||u_j||^2 in place of ||H_t||).
         rng = np.random.default_rng(seed)
         p = n + 2 + extra % n
         x = rng.uniform(-1.0, 1.0, n)
@@ -300,47 +311,25 @@ class TestStackedQuadratics:
         system = build_design_matrix(iset) if regression else qm.assemble_system(iset)
         which = np.sort(rng.integers(0, p, rows))
         Y = x + min(delta, 1.0) * rng.standard_normal((rows, n))
-        t = int(rng.integers(p))
-        with mock.patch.object(po, "_GATHER_BYTES", budget):
-            for ts, w in ((slice(None), which), ([t], np.zeros(rows, dtype=int))):
-                got, ref = po._StackedQuadratics(system, ts), GatheredStack(system, ts)
-                np.testing.assert_array_equal(got.c, ref.c)
-                np.testing.assert_array_equal(got.g, ref.g)
-                if regression:
-                    assert got.H is None
-                else:
-                    np.testing.assert_array_equal(got.H, ref.H)
-                np.testing.assert_array_equal(got.values(Y, w), ref.values(Y, w))
-                np.testing.assert_array_equal(got.grads(Y, w), ref.grads(Y, w))
-                np.testing.assert_array_equal(got.curvature(Y - x, w),
-                                              ref.curvature(Y - x, w))
-                np.testing.assert_array_equal(got.abs_bound_on_ball(0.7),
-                                              ref.abs_bound_on_ball(0.7))
-
-    @pytest.mark.parametrize("n,region,x0,max_evals", [
-        (8, geo.WholeSpace(8), [0.3] * 8, 120),
-        (3, geo.Box([-0.5] * 3, [1.0] * 3), [0.8] * 3, 60),
-    ])
-    def test_solve_trajectory_matches_reference(self, monkeypatch, n, region, x0,
-                                                max_evals):
-        weights = np.arange(1.0, n + 1.0)
-
-        def trajectory():
-            points = []
-
-            def f(y):
-                points.append(np.array(y))
-                return float(0.5 * y @ (weights * y) + y.sum())
-
-            _, record = solve(f, region, np.array(x0),
-                              SolverConfig(seed=0, max_evals=max_evals))
-            return np.array(points), record.csv_text()
-
-        points, csv = trajectory()
-        monkeypatch.setattr(po, "_StackedQuadratics", GatheredStack)
-        ref_points, ref_csv = trajectory()
-        np.testing.assert_array_equal(points, ref_points)
-        assert csv == ref_csv
+        got = sp._Quadratics(system.base, *system.stacked_lagrange())
+        ref = GatheredStack(system)
+        np.testing.assert_array_equal(got.c, ref.c)
+        np.testing.assert_array_equal(got.g, ref.g)
+        assert (got.U is None) == regression
+        mag = sp._Quadratics(x, np.abs(got.c), np.abs(got.g),
+                             None if regression else np.abs(got.U),
+                             None if regression else np.abs(got.w))
+        A = x + np.abs(Y - x)
+        for got_v, ref_v, scale in (
+                (got.values(Y, which), ref.values(Y, which), mag.values(A, which)),
+                (got.grads(Y, which), ref.grads(Y, which), mag.grads(A, which)),
+                (got.curvature(Y - x, which), ref.curvature(Y - x, which),
+                 mag.curvature(A - x, which))):
+            assert np.all(np.abs(got_v - ref_v) <= 1e-12 * scale)
+        hscale = 0.0 if regression else np.abs(got.w) @ np.sum(got.U**2, axis=1)
+        scale = ref.abs_bound_on_ball(0.7) + 0.5 * hscale * 0.7**2
+        assert np.all(np.abs(got.abs_bound_on_ball(0.7) - ref.abs_bound_on_ball(0.7))
+                      <= 1e-12 * scale)
 
 
 class TestInitialInvertibleSet:
@@ -496,7 +485,7 @@ class TestImproveToPoised:
         x, delta, lam = np.array([0.1, -0.2]), 0.5, 1.5
         iset = po.initial_invertible_set(region, x, delta, 6, rng=0)
         system = qm.assemble_system(iset)
-        stack = po._StackedQuadratics(system)
+        stack = po._Quadratics(system.base, *system.stacked_lagrange())
         skipped = stack.abs_bound_on_ball(delta) <= lam
         assert skipped.any() and not skipped.all()
         expected = po.check_poisedness(system, region, lam, rng=np.random.default_rng(3),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,3 +318,17 @@ class TestEvaluations:
         f, points = recording(lambda y: float(np.sum((y - 3.0) ** 2)))
         solve(f, region, np.zeros(4), SolverConfig(seed=0, max_evals=60))
         assert all(region.is_member(y) for y in points)
+
+
+def test_solver_path_does_not_import_accuracy():
+    # The accuracy constants are validation code: importing the package and
+    # its solver must leave them unloaded.
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, convexdfo, convexdfo.solver; "
+                               "print('convexdfo.accuracy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
