@@ -263,13 +263,15 @@ def structured_initial_points(x, delta, p):
 def _repair(work, system, region, lam, rng, cap=None):
     """The check-then-swap loop; returns ``(set, last certificate, swap_log)``.
 
-    Each round checks the set without early exit (``lam = None`` checks at
-    ``inf``: every polynomial keeps its best start).  The first point that is
-    not an exact member of the region and was not swapped yet goes first,
-    for its own polynomial's best point.  Otherwise the witness point goes
-    while the observed level exceeds ``lam``; only these swaps are logged,
-    at most ``cap`` of them.  With no level and no point left to swap, the
-    loop returns without a check.
+    Each round checks the set (``lam = None`` checks at ``inf``: every
+    polynomial keeps its best start).  The first point that is not an exact
+    member of the region and was not swapped yet goes first, for its own
+    polynomial's best point.  Otherwise the witness point goes while the
+    observed level exceeds ``lam``; only these swaps are logged, at most
+    ``cap`` of them.  Their checks exit early at the first value above
+    ``lam``, which suffices for |det F| to grow by ``lam^2``; the last
+    round finds none, so its certificate is the full sweep's.  With no
+    level and no point left to swap, the loop returns without a check.
     """
     x = work.base
     tried = set()
@@ -280,7 +282,7 @@ def _repair(work, system, region, lam, rng, cap=None):
         if bad is None and lam is None:
             return work, None, swap_log
         cert = check_poisedness(system, region, np.inf if lam is None else lam,
-                                rng=rng, early_exit=False)
+                                rng=rng, early_exit=bad is None and lam is not None)
         if bad is not None:
             tried.add(bad)
             t, y_new, value = bad, cert.best_points[bad], cert.per_polynomial[bad]
@@ -324,8 +326,9 @@ def initial_invertible_set(region, x, delta, p, rng=None):
 
 
 def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
-    """Produce a set poised at level ``lam`` inside the feasible ball.
+    """Produce a set poised at level ``lam`` on the feasible part of B(x, min(delta, 1)).
 
+    ``delta`` becomes the set's own ``radius``, on which it is certified.
     Rebuilds (via :func:`initial_invertible_set`) when no set is given, or
     the given one has the wrong size, a singular system or a point outside
     B(x, min(delta, 1)) (the certificate's test); an infeasible point inside

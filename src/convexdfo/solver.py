@@ -8,9 +8,16 @@ first cutting the radius of a fully linear model straight to ``mu * pi_m``
 radius) so that one rebuild serves a whole criticality phase, or (b) takes
 a trust-region step and accepts or rejects it by the
 actual-versus-predicted reduction ratio.  Model accuracy ("fully linear"
-here) is operationalized as the poisedness certificate: the point set is
-poised at the configured level with every point inside the unit-capped
-trust-region ball around the current iterate.
+here) is operationalized as the poisedness certificate on the point set's
+own sampling radius ``r`` (``InterpolationSet.radius``): the set is poised
+at the configured level on the feasible part of B(x, min(r, 1)), with
+every point inside that ball.  An unsuccessful step cuts ``delta`` but
+leaves a set with ``delta <= r <= delta / gamma_dec`` in place, and swaps
+in only the trial point; at any other cut, and after successful and
+criticality rows, ``r`` becomes ``delta``.  So ``r`` is always within one
+cut of ``delta``, and the accuracy constants of a set poised on B(x, r)
+(errors ``kappa_ef * r^2`` and ``kappa_eg * r``) give a model fully linear
+on B(x, delta) with ``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
 
 Models come in two kinds: linear regression on the sample set, or
 minimum-Frobenius-norm quadratic interpolation.  Both share the same
@@ -294,17 +301,17 @@ def solve(f, region, x0, config=None):
     oracle = _BudgetedOracle(f, config.max_evals)
     delta = config.delta0
 
-    def repair(old):
-        # Repair at the current (x, delta).  The set comes back only once all
+    def repair(old, radius):
+        # Repair on B(x, min(radius, 1)).  The set comes back only once all
         # its values exist; the certificate stands for it until a step
         # replaces it.
-        new, cert, _ = improve_to_poised(old, region, x, delta, p, lam, rng=rng)
+        new, cert, _ = improve_to_poised(old, region, x, radius, p, lam, rng=rng)
         return _with_values(oracle, new, old, x, fx), cert
 
     iset = None
     try:
         fx = oracle(x)
-        iset, cert = repair(None)
+        iset, cert = repair(None, delta)
 
         for k in range(50 * config.max_evals):
             if delta < config.delta_min:
@@ -314,7 +321,7 @@ def solve(f, region, x0, config=None):
             model, system = _build_model(iset, config.model_kind)
             if model is None:
                 # Degenerate geometry slipped in; rebuild before modelling.
-                iset, cert = repair(iset)
+                iset, cert = repair(iset, iset.radius)
                 model, system = _build_model(iset, config.model_kind)
                 if model is None:
                     raise SolverError("geometry repair failed to restore invertibility", record)
@@ -330,7 +337,8 @@ def solve(f, region, x0, config=None):
             ):
                 if fully_linear:
                     delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec)
-                iset, cert = repair(iset)
+                if delta >= config.delta_min:  # else the run ends with this set
+                    iset, cert = repair(iset, delta)
                 record.rows.append(IterationRow(
                     k, f_at_k, delta_at_k, pi_m, None, "criticality", oracle.used, fully_linear,
                 ))
@@ -353,11 +361,13 @@ def solve(f, region, x0, config=None):
                 cert = None
             elif not fully_linear:
                 step_kind = "model-improving"
-                iset, cert = repair(iset)
+                iset, cert = repair(iset, iset.radius)
             else:
                 step_kind = "unsuccessful"
                 delta = config.gamma_dec * delta
-                iset = iset.with_geometry(x, delta)
+                # The set keeps its radius through one cut.
+                if not config.gamma_dec * iset.radius <= delta <= iset.radius:
+                    iset = iset.with_geometry(x, delta)
                 if trial is not None:
                     iset = _swap_farthest(iset, x, trial, f_trial)
                 cert = None

@@ -142,8 +142,10 @@ def _polish(stack, which, signs, Y, rows, proj, radius, moved_tol, stop=None):
     on that segment.  A row stops at its first step that does not lower its
     value strictly or that moves by at most ``moved_tol``.  Every row stops
     after ``DESCENT_STEPS`` rounds, or once some row's value is below
-    ``stop``.  ``Y`` is updated in place; returns the values of the rows
-    ``rows``, in their order, and the number of rounds run.
+    ``stop``.  Within the loop a row's new value comes from its segment's
+    slope and curvature; the returned rows are evaluated once at exit.
+    ``Y`` is updated in place; returns the values of the rows ``rows``, in
+    their order, and the number of rounds run.
     """
     vals = signs[rows] * stack.values(Y[rows], which[rows])
     active = np.arange(rows.size)
@@ -161,11 +163,11 @@ def _polish(stack, which, signs, Y, rows, proj, radius, moved_tol, stop=None):
         curved = dHd > 0.0
         t[curved] = np.clip(-gd[curved] / dHd[curved], 0.0, 1.0)
         y_new = y + t[:, None] * D
-        v_new = s * stack.values(y_new, w)
+        v_new = vals[active] + t * gd + 0.5 * t * t * dHd
         ok = (v_new < vals[active]) & (np.linalg.norm(y_new - y, axis=1) > moved_tol)
         active = active[ok]
         Y[rows[active]], vals[active] = y_new[ok], v_new[ok]
-    return vals, rounds
+    return signs[rows] * stack.values(Y[rows], which[rows]), rounds
 
 
 def _cauchy_search(model, x, g, m_x, tr_proj, radius, target):

@@ -504,6 +504,35 @@ class TestImproveToPoised:
         assert cert.stats.skipped == np.count_nonzero(skipped)
         assert cert.stats.rows == 2 * 6 * (6 + 2 * 2 + po.N_RANDOM_STARTS)
 
+    @pytest.mark.parametrize("kind", ["box", "ball"])
+    def test_early_exit_certificate_is_the_full_sweep(self, kind, monkeypatch):
+        # The level rounds check with early exit; the verified certificate
+        # the loop returns equals a full sweep on its set from the same
+        # random starts.
+        region = (geo.Box([0.0, 0.0], [2.0, 2.0]) if kind == "box"
+                  else geo.Ball([0.5, 0.5], 1.0))
+        center, lam = np.array([0.3, 0.3]), 2.0
+        iset = clustered_set(np.random.default_rng(4), center)
+        calls, original = [], po.check_poisedness
+
+        def recorded(system, region, lam, rng=None, early_exit=True, **kwargs):
+            calls.append((system, rng.bit_generator.state, early_exit))
+            return original(system, region, lam, rng=rng, early_exit=early_exit, **kwargs)
+
+        monkeypatch.setattr(po, "check_poisedness", recorded)
+        _, cert, swaps = po.improve_to_poised(iset, region, center, 1.0, 6, lam,
+                                              rng=np.random.default_rng(5))
+        assert len(swaps) >= 1 and cert.verified
+        assert all(early for _, _, early in calls)
+        system, state, _ = calls[-1]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        full = original(system, region, lam, rng=rng, early_exit=False)
+        assert cert.lambda_observed == full.lambda_observed
+        np.testing.assert_array_equal(cert.per_polynomial, full.per_polynomial)
+        np.testing.assert_array_equal(cert.best_points, full.best_points)
+        assert cert.stats == full.stats
+
     def test_rounded_pattern_is_not_rebuilt(self, monkeypatch):
         # At r = 2^-27 around ||x|| = 0.43 the diagonal pattern point rounds
         # beyond r (1 + GEOMETRY_SLACK), within the rounding of stored

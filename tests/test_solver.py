@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexdfo import geometry as geo
+from convexdfo import poisedness as po
+from convexdfo import solver as sv
 from convexdfo.problems import get_problem, true_criticality
 from convexdfo.solver import (
     _CRITICALITY_FLOOR,
@@ -37,6 +39,22 @@ def recording(f):
         return f(x)
 
     return wrapped, points
+
+
+def random_instance(kind, n, log_scale, seed):
+    """A random box or ball at scale ``10**log_scale``, its centre, and a
+    recorded quadratic whose minimizer is mostly outside it."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    centre = scale * rng.standard_normal(n)
+    if kind == "box":
+        half = scale * (0.1 + rng.random(n))
+        region = geo.Box(centre - half, centre + half)
+    else:
+        region = geo.Ball(centre, scale * (0.1 + rng.random()))
+    target = centre + 2.0 * scale * rng.standard_normal(n)
+    f, points = recording(lambda y: float(np.sum((y - target) ** 2)))
+    return region, centre, f, points
 
 
 def failing_at(f, call, bad):
@@ -294,16 +312,8 @@ class TestEvaluations:
     @given(kind=st.sampled_from(["box", "ball"]), n=st.integers(1, 3),
            log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
     def test_every_evaluated_point_is_an_exact_member(self, kind, n, log_scale, seed):
-        rng = np.random.default_rng(seed)
+        region, centre, f, points = random_instance(kind, n, log_scale, seed)
         scale = 10.0 ** log_scale
-        centre = scale * rng.standard_normal(n)
-        if kind == "box":
-            half = scale * (0.1 + rng.random(n))
-            region = geo.Box(centre - half, centre + half)
-        else:
-            region = geo.Ball(centre, scale * (0.1 + rng.random()))
-        target = centre + 2.0 * scale * rng.standard_normal(n)  # mostly outside C
-        f, points = recording(lambda y: float(np.sum((y - target) ** 2)))
         config = SolverConfig(delta0=scale, delta_max=100.0 * scale,
                               delta_min=1e-8 * scale, max_evals=30, seed=0)
         solve(f, region, centre, config)
@@ -317,6 +327,64 @@ class TestEvaluations:
         region = geo.Halfspaces([a], [1.0])
         f, points = recording(lambda y: float(np.sum((y - 3.0) ** 2)))
         solve(f, region, np.zeros(4), SolverConfig(seed=0, max_evals=60))
+        assert all(region.is_member(y) for y in points)
+
+
+def solve_with_sets(monkeypatch, f, region, x0, config):
+    """``solve`` plus the point set each row modelled, indexed by row ``k``."""
+    sets, build = [], sv._build_model
+
+    def recorded(iset, model_kind):
+        model, system = build(iset, model_kind)
+        if model is not None:
+            sets.append(iset)
+        return model, system
+
+    monkeypatch.setattr(sv, "_build_model", recorded)
+    _, record = solve(f, region, x0, config)
+    return record, sets
+
+
+class TestKeptSet:
+    def test_one_evaluation_per_row_until_a_second_cut(self, monkeypatch):
+        # At a level no trial swap can break, a set kept through its first
+        # cut stays certified: the next step row spends only its trial.
+        # Only sets sampled at delta <= 1 count: above it the trial can
+        # leave B(x, min(radius, 1)).  A second cut resizes the set.
+        problem = get_problem("rosenbrock2d")
+        config = SolverConfig(max_evals=500, seed=0, poisedness=1e8)
+        record, sets = solve_with_sets(monkeypatch, problem.f, problem.region,
+                                       problem.x0, config)
+        kept = 0
+        for row, nxt in zip(record.rows, record.rows[1:]):
+            if row.step_kind == "unsuccessful" and sets[row.k].radius != row.delta:
+                assert sets[nxt.k].radius == nxt.delta
+            first_cut = sets[row.k].radius == row.delta <= 1.0
+            if row.step_kind != "unsuccessful" or not row.fully_linear or not first_cut:
+                continue
+            assert sets[nxt.k].radius == row.delta == nxt.delta / config.gamma_dec
+            if nxt.step_kind != "criticality":
+                kept += 1
+                assert nxt.fully_linear
+                assert nxt.evals - row.evals == 1
+        assert kept >= 10
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["box", "ball"]), n=st.integers(1, 3),
+           log_scale=st.floats(-3.0, 3.0), gamma_dec=st.floats(0.1, 0.9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_certified_set_within_one_cut(self, kind, n, log_scale, gamma_dec, seed):
+        region, centre, f, points = random_instance(kind, n, log_scale, seed)
+        scale = 10.0 ** log_scale
+        config = SolverConfig(delta0=scale, delta_max=100.0 * scale, gamma_dec=gamma_dec,
+                              delta_min=1e-8 * scale, max_evals=60, seed=0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            record, sets = solve_with_sets(monkeypatch, f, region, centre, config)
+        for row in record.rows:
+            iset = sets[row.k]
+            assert gamma_dec * iset.radius <= row.delta <= iset.radius
+            if row.fully_linear:
+                assert not po._outside_ball(iset.points, iset.base, min(iset.radius, 1.0))
         assert all(region.is_member(y) for y in points)
 
 
