@@ -28,8 +28,9 @@ reg_values = np.array([f(y) for y in points])
 
 basis = build_design_matrix(reg_set)
 linear = fit_regression_model(basis, reg_values)
-print("affine model: c = %.4f, g =" % linear.c, np.round(linear.g, 4))
-print("residual norm:", np.linalg.norm(linear.residuals))
+# Every model is one row of Quadratics: c, g and a Hessian factor (none here).
+print("affine model: c = %.4f, g =" % linear.c[0], np.round(linear.g[0], 4))
+print("residual norm:", np.linalg.norm(linear.values(points) - reg_values))
 
 # Quadratic interpolation is underdetermined for n+2 <= p < (n+1)(n+2)/2;
 # in the plane that means between 4 and 6 points.  Among all quadratics
@@ -38,7 +39,7 @@ iset = InterpolationSet(base=np.zeros(2), radius=0.8, points=points[:5])
 values = reg_values[:5]
 system = assemble_system(iset)
 quad = fit_mfn_model(system, values)
-print("quadratic model Hessian:\n", np.round(quad.H, 4))
+print("quadratic model Hessian:\n", np.round(quad.hessians()[0], 4))
 print("interpolation error:", np.max(np.abs(quad.values(iset.points) - values)))
 
 # Lagrange polynomials take value 1 at their own point and 0 at the others
@@ -53,6 +54,9 @@ ell = system.lagrange_values(y)
 print("sum of l_t(y):", ell.sum())
 print("rebuilt displacement:", ell @ (iset.points - iset.base), "vs", y - iset.base)
 
-# The model is the value-weighted combination of its Lagrange polynomials.
+# The model is the value-weighted combination of its Lagrange polynomials,
+# which are the rows of one Quadratics sharing the Hessian factor Z / scale.
+lagrange = system.stacked_lagrange()
+print("Lagrange stack:", len(lagrange.c), "rows, Hessian factor", lagrange.U.shape)
 combo = values @ ell
 print("m(y) =", quad.value(y), " sum_t f(y_t) l_t(y) =", combo)

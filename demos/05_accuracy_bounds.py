@@ -30,6 +30,8 @@ iset, cert, _ = improve_to_poised(None, region, problem.x0, delta, p, lam, rng=r
 system = assemble_system(iset)
 values = np.array([problem.f(y) for y in iset.points])
 model = fit_mfn_model(system, values)
+print(f"model: one row of Quadratics, ||g|| = {np.linalg.norm(model.g[0]):.3f}, "
+      f"||H||_2 = {model.hess_norms()[0]:.3f}")
 
 kappa_ef, kappa_eg = mfn_accuracy_constants(p, lam, problem.lipschitz_grad, 1.0)
 print(f"guaranteed constants: kappa_ef = {kappa_ef:.1f}, kappa_eg = {kappa_eg:.1f}")

@@ -4,9 +4,10 @@ The package is organized around the pieces a model-based DFO method needs
 when every sample must stay feasible:
 
 * :mod:`convexdfo.geometry` -- feasible regions, membership, projections.
-* :mod:`convexdfo.linear_models` -- linear regression models and their
-  Lagrange polynomials.
-* :mod:`convexdfo.quadratic_models` -- minimum-Frobenius-norm quadratic
+* :mod:`convexdfo.linear_models` -- linear regression and its Lagrange
+  polynomials.
+* :mod:`convexdfo.quadratic_models` -- :class:`Quadratics`, the one quadratic
+  type (a model is ``sum_t f(y_t) l_t``, one row), minimum-Frobenius-norm
   interpolation, the bordered KKT system, determinant update identities.
 * :mod:`convexdfo.poisedness` -- geometry certificates and constructive
   repair of interpolation sets.
@@ -35,7 +36,6 @@ from .geometry import (
 from .linear_models import (
     DegenerateGeometryError,
     InterpolationSet,
-    LinearModel,
     RegressionBasis,
     build_design_matrix,
     eval_regression_lagrange,
@@ -49,7 +49,7 @@ from .poisedness import (
 )
 from .quadratic_models import (
     MfnSystem,
-    QuadraticModel,
+    Quadratics,
     SingularGeometryError,
     assemble_system,
     det_after_point_swap,
@@ -76,7 +76,6 @@ __all__ = [
     "project_onto_ball_intersection",
     "DegenerateGeometryError",
     "InterpolationSet",
-    "LinearModel",
     "RegressionBasis",
     "build_design_matrix",
     "eval_regression_lagrange",
@@ -86,7 +85,7 @@ __all__ = [
     "improve_to_poised",
     "initial_invertible_set",
     "MfnSystem",
-    "QuadraticModel",
+    "Quadratics",
     "SingularGeometryError",
     "assemble_system",
     "det_after_point_swap",

@@ -6,7 +6,9 @@ pseudoinverse of the p x (n+1) design matrix whose rows are
 ``[1, (y_t - x)^T]``.  The t-th regression Lagrange polynomial is the fit
 to the t-th standard basis vector; the size of these polynomials over the
 feasible part of the trust region is the geometry (poisedness) measure that
-controls model accuracy.
+controls model accuracy.  The fit is linear in the values, so the model is
+``sum_t f(y_t) l_t``: a :class:`~convexdfo.quadratic_models.Quadratics` row
+with no Hessian factor.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadratic_models import Quadratics
+
 __all__ = [
     "InterpolationSet",
-    "LinearModel",
     "RegressionBasis",
     "DegenerateGeometryError",
     "build_design_matrix",
@@ -96,35 +99,6 @@ class InterpolationSet:
 
 
 @dataclass
-class LinearModel:
-    """Affine model ``m(y) = c + g^T (y - base)``."""
-
-    c: float
-    g: np.ndarray
-    base: np.ndarray
-    residuals: np.ndarray | None = None
-
-    def value(self, y):
-        return self.c + (np.asarray(y, float) - self.base) @ self.g
-
-    def values(self, ys):
-        return self.c + (np.asarray(ys, float) - self.base) @ self.g
-
-    def grad(self, y=None):
-        return self.g
-
-    def grads(self, ys):
-        return np.broadcast_to(self.g, (len(ys), self.g.size))
-
-    def hess_norm(self):
-        return 0.0
-
-    def hessian(self):
-        n = self.g.size
-        return np.zeros((n, n))
-
-
-@dataclass
 class RegressionBasis:
     """Design matrix, SVD pseudoinverse and regression Lagrange coefficients.
 
@@ -164,16 +138,10 @@ class RegressionBasis:
     def nondegenerate(self):
         return self.full_rank
 
-    def lagrange_polynomial(self, t):
-        col = self.lagrange_coeffs[:, t]
-        return LinearModel(float(col[0]), col[1:].copy(), self.base)
-
     def stacked_lagrange(self):
-        """``(c, g, None, None)`` of all p Lagrange polynomials, stacked
-        along the first axis; they are affine, so there is no Hessian
-        factor."""
+        """All p Lagrange polynomials as affine :class:`Quadratics`."""
         coeffs = self.lagrange_coeffs
-        return coeffs[0], np.ascontiguousarray(coeffs[1:].T), None, None
+        return Quadratics(self.base, coeffs[0], np.ascontiguousarray(coeffs[1:].T))
 
     def lagrange_values(self, y):
         """All p Lagrange polynomial values at one point ``y``."""
@@ -222,19 +190,18 @@ def build_design_matrix(iset, require_full_rank=True):
 
 
 def fit_regression_model(basis, values):
-    """Least-squares affine fit of the given sample values.
+    """Least-squares affine fit ``sum_t f(y_t) l_t`` of the sample values.
 
-    Requires a full-rank basis; returns the model with its per-point
-    residual vector attached.
+    Requires a full-rank basis.  The contraction is one product with the
+    Lagrange coefficient columns ``(c_t, g_t)``.
     """
     values = np.asarray(values, dtype=float)
     if values.size != basis.npoints:
         raise ValueError("one value per sample point required")
     if not basis.full_rank:
         raise DegenerateGeometryError("cannot fit on rank-deficient geometry")
-    coef = basis.pinv @ values
-    residuals = basis.matrix @ coef - values
-    return LinearModel(float(coef[0]), coef[1:].copy(), basis.base, residuals=residuals)
+    coef = basis.lagrange_coeffs @ values
+    return Quadratics(basis.base, coef[:1], coef[None, 1:])
 
 
 def eval_regression_lagrange(basis, t, y):

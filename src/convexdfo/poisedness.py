@@ -42,7 +42,7 @@ from .geometry import TrustRegionProjector, contains, shrink_into
 from .linear_models import InterpolationSet
 from .quadratic_models import SignedLogDet, assemble_system, det_after_point_swap
 from .sampling import sample_feasible_in_ball
-from .subproblems import _polish, _Quadratics
+from .subproblems import _polish
 
 __all__ = [
     "PoisednessCertificate",
@@ -146,7 +146,7 @@ def _ascend_stacked(system, starts, region, x, r, lam, early_exit):
     ``early_exit``, stops as soon as any row exceeds ``lam`` (a found
     violation is always genuine; only the above/below answer is needed then).
     """
-    stack = _Quadratics(system.base, *system.stacked_lagrange())
+    stack = system.stacked_lagrange()
     npolys, m = len(stack.c), len(starts)
     Y = np.tile(starts, (2 * npolys, 1))
     which = np.repeat(np.arange(npolys), 2 * m)

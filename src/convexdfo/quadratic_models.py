@@ -13,6 +13,10 @@ where ``M`` is the regression design matrix and
 the multipliers as ``H = sum_t lambda_t (y_t - x)(y_t - x)^T``.  The t-th
 Lagrange polynomial solves the same system with the t-th standard basis
 vector on the right-hand side, and evaluates as ``e_t^T F^{-1} phi(y)``.
+The system is linear in its right-hand side, so the model is the
+value-weighted sum ``sum_t f(y_t) l_t``.  Every quadratic of the package,
+model or Lagrange polynomial, is a row of :class:`Quadratics`, whose
+Hessians stay in this factored form.
 
 The system is assembled in displacements divided by min(radius, 1): the
 ``Q`` block is quartic in the point radius, so the unscaled matrix is
@@ -38,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "QuadraticModel",
+    "Quadratics",
     "MfnSystem",
     "SignedLogDet",
     "SingularGeometryError",
@@ -98,42 +102,86 @@ def _lu_signed_logdet(lu, piv):
     return SignedLogDet(sign, logabs), pivot_ratio
 
 
-@dataclass
-class QuadraticModel:
-    """Quadratic ``m(y) = c + g^T(y-base) + 0.5 (y-base)^T H (y-base)``."""
+class Quadratics:
+    """Quadratics ``c_t + g_t^T d + d^T H_t d / 2`` in ``d = y - base``, one
+    per row t; ``values`` and ``grads`` take the row of each point by index
+    ``which`` (row 0 for every point when omitted).
 
-    c: float
-    g: np.ndarray
-    H: np.ndarray
-    base: np.ndarray
+    Every Hessian shares one factor: ``H_t = U^T diag(w_t) U``, so
+    ``H_t d = U^T (w_t * U d)`` costs two products over all rows and
+    O(rows * len(U)) memory.  ``U`` is None when all are affine.  The
+    Lagrange polynomials of a system are such a stack; a model is one row,
+    their value-weighted sum (:meth:`weighted_sum`), and ``value`` and
+    ``grad`` read it at one point.
+    """
 
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        self.base = np.asarray(self.base, dtype=float)
-        H = np.asarray(self.H, dtype=float)
-        self.H = 0.5 * (H + H.T)
+    def __init__(self, base, c, g, U=None, w=None):
+        self.base, self.c, self.g, self.U, self.w = base, c, g, U, w
+
+    @classmethod
+    def from_hessian(cls, base, c, g, H=None):
+        """One quadratic with a dense Hessian ``H`` (affine when None),
+        factored once by ``eigh``."""
+        g = np.asarray(g, dtype=float)[None]
+        if H is None:
+            return cls(np.asarray(base, dtype=float), np.array([float(c)]), g)
+        H = np.asarray(H, dtype=float)
+        w, V = np.linalg.eigh(0.5 * (H + H.T))
+        return cls(np.asarray(base, dtype=float), np.array([float(c)]), g, V.T, w[None])
+
+    def weighted_sum(self, weights):
+        """The one quadratic ``sum_t weights_t q_t``, in the same factor."""
+        weights = np.asarray(weights, dtype=float)[None]
+        w = None if self.U is None else weights @ self.w
+        return Quadratics(self.base, weights @ self.c, weights @ self.g, self.U, w)
+
+    def _hess_times(self, D, which):
+        return (self.w[which] * (D @ self.U.T)) @ self.U
+
+    def values(self, Y, which=None):
+        D = np.asarray(Y, dtype=float) - self.base
+        which = np.zeros(len(D), dtype=int) if which is None else which
+        G = self.g[which]
+        if self.U is not None:
+            G = G + 0.5 * self._hess_times(D, which)
+        return self.c[which] + np.einsum("ri,ri->r", D, G)
+
+    def grads(self, Y, which=None):
+        D = np.asarray(Y, dtype=float) - self.base
+        which = np.zeros(len(D), dtype=int) if which is None else which
+        G = self.g[which]
+        if self.U is not None:
+            G = G + self._hess_times(D, which)
+        return G
 
     def value(self, y):
-        d = np.asarray(y, float) - self.base
-        return float(self.c + d @ self.g + 0.5 * d @ self.H @ d)
-
-    def values(self, ys):
-        D = np.asarray(ys, float) - self.base
-        return self.c + D @ self.g + 0.5 * np.einsum("ij,ij->i", D @ self.H, D)
+        return float(self.values(np.asarray(y, dtype=float)[None])[0])
 
     def grad(self, y):
-        d = np.asarray(y, float) - self.base
-        return self.g + self.H @ d
+        return self.grads(np.asarray(y, dtype=float)[None])[0]
 
-    def grads(self, ys):
-        D = np.asarray(ys, float) - self.base
-        return self.g + D @ self.H
+    def curvature(self, D, which):
+        """``d^T H_t d`` for each row d of ``D``."""
+        if self.U is None:
+            return np.zeros(len(D))
+        return np.einsum("ri,ri->r", D, self._hess_times(D, which))
 
-    def hess_norm(self):
-        return float(np.linalg.norm(self.H, 2)) if self.g.size else 0.0
+    def hessians(self):
+        """Dense symmetrised ``H_t``, one (n, n) matrix per row."""
+        n = self.g.shape[1]
+        if self.U is None:
+            return np.zeros((len(self.c), n, n))
+        H = (self.U.T * self.w[:, None, :]) @ self.U
+        return 0.5 * (H + H.transpose(0, 2, 1))
 
-    def hessian(self):
-        return self.H
+    def hess_norms(self):
+        """``||H_t||_2`` of every row, from the dense Hessians."""
+        return np.max(np.abs(np.linalg.eigvalsh(self.hessians())), axis=1)
+
+    def abs_bound_on_ball(self, r):
+        """Per-quadratic upper bound for |value| on B(base, r)."""
+        gnorm = np.sqrt(np.einsum("ti,ti->t", self.g, self.g))
+        return np.abs(self.c) + gnorm * r + 0.5 * self.hess_norms() * r**2
 
 
 @dataclass
@@ -195,33 +243,16 @@ class MfnSystem:
         self._require_invertible()
         return scipy.linalg.lu_solve(self.lu, rhs)
 
-    def lagrange_polynomial(self, t):
-        """The t-th Lagrange polynomial as a quadratic in original coordinates."""
-        self._require_invertible()
-        p, n = self.npoints, self.dimension
-        col = self.lagrange_solutions[:, t]
-        lam, c, g_scaled = col[:p], col[p], col[p + 1:]
-        H_scaled = self.Z.T @ (lam[:, None] * self.Z)
-        return QuadraticModel(
-            c=float(c),
-            g=g_scaled / self.scale,
-            H=H_scaled / self.scale**2,
-            base=self.base,
-        )
-
     def stacked_lagrange(self):
-        """``(c, g, U, w)`` of all p Lagrange polynomials in original
-        coordinates, stacked along the first axis of ``c``, ``g`` and ``w``.
-
-        Every Hessian is ``H_t = U^T diag(w_t) U`` with ``U = Z / scale``
-        and ``w_t = lambda_t`` the polynomial's multipliers; no Hessian is
-        formed.
-        """
+        """All p Lagrange polynomials in original coordinates, as
+        :class:`Quadratics` with ``U = Z / scale`` and ``w_t = lambda_t``,
+        the multipliers of ``l_t``; no Hessian is formed."""
         self._require_invertible()
         p = self.npoints
         sol = self.lagrange_solutions
         g = np.ascontiguousarray(sol[p + 1:].T) / self.scale
-        return sol[p], g, self.Z / self.scale, np.ascontiguousarray(sol[:p].T)
+        return Quadratics(self.base, sol[p], g, self.Z / self.scale,
+                          np.ascontiguousarray(sol[:p].T))
 
     def lagrange_values(self, y):
         """All p Lagrange polynomial values at ``y`` via e_t^T F^{-1} phi(y)."""
@@ -298,26 +329,16 @@ def assemble_system(iset, require_invertible=True):
 
 
 def fit_mfn_model(system, values):
-    """Interpolate the sample values with the minimum-Frobenius-norm quadratic.
+    """The minimum-Frobenius-norm interpolant ``sum_t f(y_t) l_t``.
 
-    Solves the bordered system for the multipliers and the affine part,
-    assembles the Hessian from the multiplier-weighted displacement outer
-    products, and maps the coefficients back to original coordinates.
+    The values weigh the Lagrange polynomials' stack, so the Hessian stays
+    factored as ``U^T diag(w) U`` with ``U = Z / scale`` and ``w`` the
+    value-weighted multipliers.
     """
     values = np.asarray(values, dtype=float)
-    p, n = system.npoints, system.dimension
-    if values.size != p:
+    if values.size != system.npoints:
         raise ValueError("one value per interpolation point required")
-    rhs = np.concatenate([values, np.zeros(n + 1)])
-    sol = system.solve(rhs)
-    lam, c, g_scaled = sol[:p], sol[p], sol[p + 1:]
-    H_scaled = system.Z.T @ (lam[:, None] * system.Z)
-    return QuadraticModel(
-        c=float(c),
-        g=g_scaled / system.scale,
-        H=H_scaled / system.scale**2,
-        base=system.base,
-    )
+    return system.stacked_lagrange().weighted_sum(values)
 
 
 def eval_mfn_lagrange(system, t, y):

@@ -12,8 +12,8 @@ import json
 
 import numpy as np
 
-from .linear_models import InterpolationSet, LinearModel
-from .quadratic_models import QuadraticModel
+from .linear_models import InterpolationSet
+from .quadratic_models import Quadratics
 
 __all__ = [
     "set_to_dict",
@@ -57,31 +57,18 @@ def load_set(path):
 
 
 def model_to_dict(model):
-    data = {
-        "c": float(model.c),
-        "g": np.asarray(model.g, dtype=float).tolist(),
+    """JSON form of a one-row model; its Hessian is written out dense."""
+    (c,), (g,) = model.c, model.g
+    return {
+        "c": float(c),
+        "g": g.tolist(),
         "base": np.asarray(model.base, dtype=float).tolist(),
+        "H": None if model.U is None else model.hessians()[0].tolist(),
     }
-    if isinstance(model, QuadraticModel):
-        data["H"] = model.H.tolist()
-    else:
-        data["H"] = None
-    return data
 
 
 def model_from_dict(data):
-    if data.get("H") is None:
-        return LinearModel(
-            c=float(data["c"]),
-            g=np.asarray(data["g"], dtype=float),
-            base=np.asarray(data["base"], dtype=float),
-        )
-    return QuadraticModel(
-        c=float(data["c"]),
-        g=np.asarray(data["g"], dtype=float),
-        H=np.asarray(data["H"], dtype=float),
-        base=np.asarray(data["base"], dtype=float),
-    )
+    return Quadratics.from_hessian(data["base"], data["c"], data["g"], data.get("H"))
 
 
 def save_model(model, path):

@@ -49,6 +49,7 @@ from .poisedness import (
     improve_to_poised,
 )
 from .quadratic_models import assemble_system, fit_mfn_model, max_points
+from .sampling import sample_feasible_in_ball
 from .subproblems import criticality_measure, solve_trust_region_step
 
 __all__ = [
@@ -279,9 +280,10 @@ def solve(f, region, x0, config=None):
     """Run the trust-region iteration; returns ``(x_final, RunRecord)``.
 
     ``f`` is called only at feasible points.  An infeasible ``x0`` is
-    projected into the region first (noted in the record).  Terminates when
-    the evaluation budget is spent or the trust region shrinks below
-    ``delta_min``.  Hard subsolver failures, and an ``f`` that raises or
+    projected into the region first, or replaced by a member within
+    ``delta_min`` of its projection where that is not an exact member
+    (noted in the record).  Terminates when the evaluation budget is spent
+    or the trust region shrinks below ``delta_min``.  Hard subsolver failures, and an ``f`` that raises or
     returns a value that is not finite, end the run with status ``"error"``
     and raise :class:`SolverError` carrying the partial record.
     """
@@ -293,7 +295,15 @@ def solve(f, region, x0, config=None):
     x = np.asarray(x0, dtype=float)
     region._check_dim(x)
     if not region.is_member(x):
+        # A projection is exact only to rounding, and Dykstra's only to its
+        # tolerance; where it is not a member, a member drawn near it is.
         x = project(region, x).point
+        if not region.is_member(x):
+            x = sample_feasible_in_ball(rng, region, x, config.delta_min, 1)[0]
+        if not region.is_member(x):
+            record.status = "error"
+            raise SolverError("infeasible starting point: no exact member of the region "
+                              "found within delta_min of its projection", record)
         record.notes.append("starting point was infeasible; projected into the region")
     n = x.size
     p = config.resolve_npoints(n)

@@ -14,10 +14,11 @@ descent on the quadratic model toward the generalized Cauchy decrease
 The descent searches the projected-gradient path, backtracking to the
 target or extrapolating past it, then polishes with projected-gradient
 steps and exact segment linesearch (Conn, Gould & Toint, *Trust-Region
-Methods*, ch. 12).  The polish, :func:`_polish`, runs on a stack of
-quadratics with one Hessian factor, one row each: the model is a stack of
-one row, and the Lagrange sweep of :mod:`convexdfo.poisedness` polishes
-all of its rows at once with the same routine.
+Methods*, ch. 12).  The polish, :func:`_polish`, runs on
+:class:`~convexdfo.quadratic_models.Quadratics`, one point per row: the
+model is a stack of one row, polished in the factored form it was fitted
+in, and the Lagrange sweep of :mod:`convexdfo.poisedness` polishes all of
+its rows at once with the same routine.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ProjectionError, TrustRegionProjector, WholeSpace, contains, shrink_into
-from .linear_models import LinearModel
+from .quadratic_models import Quadratics
 
 __all__ = [
     "CriticalityResult",
@@ -78,59 +79,13 @@ def criticality_measure(g, x, region, radius=1.0):
         return CriticalityResult(0.0, np.zeros_like(g))
     if isinstance(region, WholeSpace):
         return CriticalityResult(radius * gnorm, -radius * g / gnorm)
-    d, _ = _descend(LinearModel(0.0, g, x), x, region, radius, 0.0)
+    d, _ = _descend(Quadratics.from_hessian(x, 0.0, g), x, region, radius, 0.0)
     return CriticalityResult(max(0.0, -float(g @ d)), d)
 
 
 def cauchy_decrease_target(pi, hess_norm, delta, c1):
     """Right-hand side of the generalized Cauchy decrease condition."""
     return c1 * pi * min(pi / (1.0 + hess_norm), delta, 1.0)
-
-
-class _Quadratics:
-    """Quadratics ``c_t + g_t^T d + d^T H_t d / 2`` in ``d = y - base``,
-    evaluated per row by index ``which``.
-
-    Every Hessian shares one factor: ``H_t = U^T diag(w_t) U``, so
-    ``H_t d = U^T (w_t * U d)`` costs two products over all rows and
-    O(rows * len(U)) memory.  ``U`` is None when all are affine.
-    """
-
-    def __init__(self, base, c, g, U, w):
-        self.base, self.c, self.g, self.U, self.w = base, c, g, U, w
-
-    def _hess_times(self, D, which):
-        return (self.w[which] * (D @ self.U.T)) @ self.U
-
-    def values(self, Y, which):
-        D = Y - self.base
-        G = self.g[which]
-        if self.U is not None:
-            G = G + 0.5 * self._hess_times(D, which)
-        return self.c[which] + np.einsum("ri,ri->r", D, G)
-
-    def grads(self, Y, which):
-        G = self.g[which]
-        if self.U is not None:
-            G = G + self._hess_times(Y - self.base, which)
-        return G
-
-    def curvature(self, D, which):
-        """``d^T H_t d`` for each row d of ``D``."""
-        if self.U is None:
-            return np.zeros(len(D))
-        return np.einsum("ri,ri->r", D, self._hess_times(D, which))
-
-    def abs_bound_on_ball(self, r):
-        """Per-quadratic upper bound for |value| on B(base, r), with the
-        exact ||H_t|| from the Hessians built once."""
-        gnorm = np.sqrt(np.einsum("ti,ti->t", self.g, self.g))
-        bound = np.abs(self.c) + gnorm * r
-        if self.U is not None:
-            H = (self.U.T * self.w[:, None, :]) @ self.U
-            hnorm = np.max(np.abs(np.linalg.eigvalsh(H)), axis=1)
-            bound = bound + 0.5 * hnorm * r**2
-        return bound
 
 
 def _polish(stack, which, signs, Y, rows, proj, radius, moved_tol, stop=None):
@@ -217,19 +172,16 @@ def _descend(model, x, region, radius, target):
     """Best step found in region ∩ B(x, radius) from x, and its model decrease.
 
     Phase 1 is :func:`_cauchy_search` toward ``target``.  Phase 2 is
-    :func:`_polish` from its step, on the model as a stack of one row whose
-    Hessian is factored once by ``eigh``, with steps of length
-    ``radius / ||grad m||`` that must move by more than
+    :func:`_polish` of the model, a stack of one row, from its step, with
+    steps of length ``radius / ||grad m||`` that must move by more than
     ``1e-12 * (radius + ||x||)``.
     """
     tr_proj = TrustRegionProjector(region, x, radius)
     m_x = model.value(x)
     best_s, best_red = _cauchy_search(model, x, model.grad(x), m_x, tr_proj, radius, target)
-    w, V = np.linalg.eigh(model.hessian())
-    one = _Quadratics(model.base, np.array([model.c]), model.g[None], V.T, w[None])
     row = np.zeros(1, dtype=int)
     Y = (x + best_s)[None]
-    _polish(one, row, np.ones(1), Y, row, tr_proj, radius,
+    _polish(model, row, np.ones(1), Y, row, tr_proj, radius,
             1e-12 * (radius + float(np.linalg.norm(x))))
     if np.array_equal(Y[0], x + best_s):
         return best_s, best_red
@@ -250,7 +202,7 @@ def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None):
         pi_m = criticality_measure(model.grad(x), x, region, 1.0).value
     if pi_m <= 0.0:
         return TrustRegionStep(np.zeros_like(x), 0.0, c1, True, 0.0)
-    target = cauchy_decrease_target(pi_m, model.hess_norm(), delta, c1)
+    target = cauchy_decrease_target(pi_m, model.hess_norms()[0], delta, c1)
     best_s, best_red = _descend(model, x, region, delta, target)
 
     # f is evaluated at x + step as rounded, which must be a member.

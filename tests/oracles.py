@@ -168,6 +168,28 @@ def grid_lagrange_max(system, region, x, r, step=1.5e-3, refine=0):
     return best
 
 
+def dense_lagrange_polynomials(system):
+    """``(c, g, H)`` of every Lagrange polynomial, one row each.
+
+    For an interpolation system column t of ``lagrange_solutions`` holds
+    the multipliers lambda_t, then c_t and the scaled g_t; each Hessian is
+    summed densely as ``sum_s lambda_ts z_s z_s^T / scale^2`` over the
+    scaled displacements z_s.  A regression basis has affine polynomials
+    with coefficients ``lagrange_coeffs``.
+    """
+    if not hasattr(system, "lagrange_solutions"):
+        coeffs = system.lagrange_coeffs
+        p, n = coeffs.shape[1], coeffs.shape[0] - 1
+        return coeffs[0].copy(), coeffs[1:].T.copy(), np.zeros((p, n, n))
+    p, n = system.npoints, system.dimension
+    sol = system.lagrange_solutions
+    H = np.zeros((p, n, n))
+    for t in range(p):
+        for s in range(p):
+            H[t] += sol[s, t] * np.outer(system.Z[s], system.Z[s])
+    return sol[p].copy(), sol[p + 1:].T / system.scale, H / system.scale**2
+
+
 def assemble_dense_system(points, base, radius):
     """Independent assembly of the scaled interpolation system (plain loops)."""
     points = np.asarray(points, dtype=float)

@@ -87,7 +87,7 @@ def test_criterion_3_affine_and_quadratic_exactness():
         c_true = rng.standard_normal()
         values = iset.points @ g_true + c_true
         model = qm.fit_mfn_model(system, values)
-        worst_h = max(worst_h, float(np.linalg.norm(model.H, "fro")))
+        worst_h = max(worst_h, float(np.linalg.norm(model.hessians()[0], "fro")))
         sample = iset.base + rng.uniform(-1, 1, (200, iset.dimension))
         scale = 1.0 + float(np.max(np.abs(sample @ g_true + c_true)))
         err = np.max(np.abs(model.values(sample) - (sample @ g_true + c_true)))
@@ -323,12 +323,12 @@ def test_criterion_8_subproblem_oracles():
                   else geo.Ball([0.0, 0.0], 1.0))
         x = geo.project(region, trial_rng.uniform(-1, 1, 2)).point
         A = trial_rng.standard_normal((2, 2))
-        model = qm.QuadraticModel(
-            trial_rng.standard_normal(), trial_rng.standard_normal(2), A + A.T, x
+        model = qm.Quadratics.from_hessian(
+            x, trial_rng.standard_normal(), trial_rng.standard_normal(2), A + A.T
         )
         delta = float(trial_rng.uniform(0.05, 1.5))
         step = sp.solve_trust_region_step(model, x, region, delta, c1=0.1)
-        target = sp.cauchy_decrease_target(step.pi_model, model.hess_norm(), delta, 0.1)
+        target = sp.cauchy_decrease_target(step.pi_model, model.hess_norms()[0], delta, 0.1)
         if step.satisfied_cauchy:
             satisfied += 1
             assert step.predicted_reduction >= target - 1e-10

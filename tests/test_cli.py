@@ -6,9 +6,9 @@ import pytest
 
 from convexdfo import geometry, problems, serialize
 from convexdfo.cli import main
-from convexdfo.linear_models import InterpolationSet, LinearModel
+from convexdfo.linear_models import InterpolationSet
 from convexdfo.problems import get_problem, problem_names, true_criticality
-from convexdfo.quadratic_models import QuadraticModel
+from convexdfo.quadratic_models import Quadratics, assemble_system, fit_mfn_model
 
 from test_solver import failing_at
 
@@ -32,18 +32,41 @@ class TestSerialize:
         assert serialize.load_set(tmp_path / "s.json").values is None
 
     def test_model_round_trip(self, tmp_path, rng):
-        A = rng.standard_normal((2, 2))
-        quad = QuadraticModel(1.5, rng.standard_normal(2), A + A.T, np.zeros(2))
-        serialize.save_model(quad, tmp_path / "q.json")
-        loaded = serialize.load_model(tmp_path / "q.json")
-        assert isinstance(loaded, QuadraticModel)
-        np.testing.assert_allclose(loaded.H, quad.H)
-
-        lin = LinearModel(0.5, np.array([1.0, 2.0]), np.zeros(2))
-        serialize.save_model(lin, tmp_path / "l.json")
-        loaded_lin = serialize.load_model(tmp_path / "l.json")
-        assert isinstance(loaded_lin, LinearModel)
-        assert json.loads((tmp_path / "l.json").read_text())["H"] is None
+        # A fitted MFN model (Hessian factor Z / scale), a dense Hessian
+        # factored by from_hessian and an affine model come back with the
+        # same values and gradients at 20 points.  Writing H out dense and
+        # factoring it again rounds at most 1e-12 (about 5,000 ulps) of the
+        # magnitude |c| + ||g|| ||d|| + h ||d||^2, or ||g|| + h ||d|| for
+        # gradients, with h = ||H||_2 + sum_j |w_j| ||u_j||^2 bounding both
+        # factors' products.
+        n = 3
+        system = assemble_system(InterpolationSet(np.zeros(n), 0.5,
+                                                  0.5 * rng.standard_normal((7, n))))
+        A = rng.standard_normal((n, n))
+        models = {
+            "mfn": fit_mfn_model(system, rng.standard_normal(7)),
+            "dense": Quadratics.from_hessian(rng.standard_normal(n), 1.5,
+                                             rng.standard_normal(n), A + A.T),
+            "affine": Quadratics.from_hessian(rng.standard_normal(n), 0.5,
+                                              rng.standard_normal(n)),
+        }
+        ys = rng.uniform(-1.0, 1.0, (20, n))
+        for name, model in models.items():
+            path = tmp_path / f"{name}.json"
+            serialize.save_model(model, path)
+            assert (json.loads(path.read_text())["H"] is None) == (name == "affine")
+            loaded = serialize.load_model(path)
+            assert (loaded.U is None) == (name == "affine")
+            d = np.linalg.norm(ys - model.base, axis=1)
+            h = model.hess_norms()[0]
+            if model.U is not None:
+                h += np.abs(model.w[0]) @ np.sum(model.U**2, axis=1)
+            gnorm = np.linalg.norm(model.g[0])
+            value_scale = abs(model.c[0]) + gnorm * d + h * d**2
+            grad_scale = gnorm + h * d
+            assert np.all(np.abs(loaded.values(ys) - model.values(ys)) <= 1e-12 * value_scale)
+            grad_err = np.linalg.norm(loaded.grads(ys) - model.grads(ys), axis=1)
+            assert np.all(grad_err <= 1e-12 * grad_scale)
 
 
 class TestProblemRegistry:
@@ -105,7 +128,7 @@ class TestCliSolve:
         loaded = serialize.load_set(tmp_path / "final_set.json")
         assert loaded.npoints == 6
         model = serialize.load_model(tmp_path / "final_model.json")
-        assert isinstance(model, QuadraticModel)
+        assert isinstance(model, Quadratics) and model.U is not None
 
     def test_unknown_problem_exits_2_naming_registry(self, tmp_path, capsys):
         code = main(["solve", "--problem", "zzz", "--out", str(tmp_path)])

@@ -11,7 +11,7 @@ from convexdfo import quadratic_models as qm
 from convexdfo import subproblems as sp
 from convexdfo.linear_models import InterpolationSet, build_design_matrix
 
-from oracles import dense_signed_logdet, grid_lagrange_max
+from oracles import dense_lagrange_polynomials, dense_signed_logdet, grid_lagrange_max
 
 
 def make_set(points, base, radius=1.0):
@@ -32,16 +32,13 @@ def perturbed_pattern(rng, x, delta, p, spread):
 
 
 class GatheredStack:
-    """Reference for the sweep's factored ``sp._Quadratics``: one Lagrange
-    polynomial object per index, a (rows, n, n) gather of their Hessians in
-    each product and one ``eigvalsh`` call per Hessian."""
+    """Reference for the sweep's factored ``qm.Quadratics``: the dense
+    Hessians of the oracle's Lagrange polynomials, a (rows, n, n) gather of
+    them in each product and one ``eigvalsh`` call per Hessian."""
 
     def __init__(self, system):
-        polys = [system.lagrange_polynomial(t) for t in range(system.npoints)]
-        self.base = polys[0].base
-        self.c = np.array([q.c for q in polys])
-        self.g = np.array([q.g for q in polys])
-        self.H = np.array([q.hessian() for q in polys])
+        self.base = system.base
+        self.c, self.g, self.H = dense_lagrange_polynomials(system)
 
     def values(self, Y, which):
         D = Y - self.base
@@ -79,20 +76,18 @@ class TestMaximizeAbsLagrange:
         basis = build_design_matrix(make_set(pts, [0.0, 0.0], radius=0.7))
         region = geo.WholeSpace(2)
         values, points = lagrange_maxima(basis, region, rng)
+        cs, gs, _ = dense_lagrange_polynomials(basis)
         for t in range(5):
-            poly = basis.lagrange_polynomial(t)
+            c, g = cs[t], gs[t]
             r = 0.7
-            expected = max(
-                abs(poly.c + r * np.linalg.norm(poly.g)),
-                abs(poly.c - r * np.linalg.norm(poly.g)),
-            )
+            expected = max(abs(c + r * np.linalg.norm(g)), abs(c - r * np.linalg.norm(g)))
             assert expected > 1 + 1e-9
             value, point = values[t], points[t]
             assert value == pytest.approx(expected, abs=1e-6)
             # the boundary max of a linear function is flat to second order,
             # so the argmax point is only sqrt(value-tolerance) determined
-            expected_pt = basis.base + np.sign(poly.value(point) - poly.c) * r * (
-                poly.g / np.linalg.norm(poly.g)
+            expected_pt = basis.base + np.sign(g @ (point - basis.base)) * r * (
+                g / np.linalg.norm(g)
             )
             assert np.linalg.norm(point - expected_pt) <= 1e-2
 
@@ -236,8 +231,8 @@ class TestCheckPoisedness:
         rng = np.random.default_rng(0)
         system = qm.assemble_system(perturbed_pattern(rng, np.zeros(2), 1.0, 5, 0.2))
         grad_rows = []
-        grads = po._Quadratics.grads
-        monkeypatch.setattr(po._Quadratics, "grads",
+        grads = qm.Quadratics.grads
+        monkeypatch.setattr(qm.Quadratics, "grads",
                             lambda self, Y, which: grad_rows.append(len(Y)) or
                             grads(self, Y, which))
         cert = po.check_poisedness(system, geo.WholeSpace(2), 1.5, rng=0,
@@ -311,14 +306,14 @@ class TestStackedQuadratics:
         system = build_design_matrix(iset) if regression else qm.assemble_system(iset)
         which = np.sort(rng.integers(0, p, rows))
         Y = x + min(delta, 1.0) * rng.standard_normal((rows, n))
-        got = sp._Quadratics(system.base, *system.stacked_lagrange())
+        got = system.stacked_lagrange()
         ref = GatheredStack(system)
         np.testing.assert_array_equal(got.c, ref.c)
         np.testing.assert_array_equal(got.g, ref.g)
         assert (got.U is None) == regression
-        mag = sp._Quadratics(x, np.abs(got.c), np.abs(got.g),
-                             None if regression else np.abs(got.U),
-                             None if regression else np.abs(got.w))
+        mag = qm.Quadratics(x, np.abs(got.c), np.abs(got.g),
+                            None if regression else np.abs(got.U),
+                            None if regression else np.abs(got.w))
         A = x + np.abs(Y - x)
         for got_v, ref_v, scale in (
                 (got.values(Y, which), ref.values(Y, which), mag.values(A, which)),
@@ -485,7 +480,7 @@ class TestImproveToPoised:
         x, delta, lam = np.array([0.1, -0.2]), 0.5, 1.5
         iset = po.initial_invertible_set(region, x, delta, 6, rng=0)
         system = qm.assemble_system(iset)
-        stack = po._Quadratics(system.base, *system.stacked_lagrange())
+        stack = system.stacked_lagrange()
         skipped = stack.abs_bound_on_ball(delta) <= lam
         assert skipped.any() and not skipped.all()
         expected = po.check_poisedness(system, region, lam, rng=np.random.default_rng(3),

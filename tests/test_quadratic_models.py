@@ -105,7 +105,7 @@ class TestMfnFit:
         g_true = rng.standard_normal(3)
         values = iset.points @ g_true - 1.25
         model = qm.fit_mfn_model(system, values)
-        assert np.max(np.abs(model.H)) <= 1e-8
+        assert np.max(np.abs(model.hessians())) <= 1e-8
         sample = rng.uniform(-1, 1, (50, 3))
         np.testing.assert_allclose(model.values(sample), sample @ g_true - 1.25,
                                    atol=1e-8)
@@ -140,16 +140,16 @@ class TestMfnFit:
             values = rng.standard_normal(4)
             model = qm.fit_mfn_model(system, values)
             c_o, g_o, H_o = min_frobenius_model(iset.points, iset.base, values)
-            np.testing.assert_allclose(model.H, H_o, atol=1e-7)
-            np.testing.assert_allclose(model.g, g_o, atol=1e-7)
+            np.testing.assert_allclose(model.hessians()[0], H_o, atol=1e-7)
+            np.testing.assert_allclose(model.g[0], g_o, atol=1e-7)
             assert model.c == pytest.approx(c_o, abs=1e-7)
             # no interpolating quadratic has a smaller Hessian norm
-            assert np.linalg.norm(model.H, "fro") <= np.linalg.norm(H_o, "fro") + 1e-9
+            assert np.linalg.norm(model.hessians()[0], "fro") <= np.linalg.norm(H_o, "fro") + 1e-9
 
     def test_hessian_symmetric(self, rng):
         iset, system = random_invertible_set(rng, 3, 7)
-        model = qm.fit_mfn_model(system, rng.standard_normal(7))
-        np.testing.assert_array_equal(model.H, model.H.T)
+        H = qm.fit_mfn_model(system, rng.standard_normal(7)).hessians()[0]
+        np.testing.assert_array_equal(H, H.T)
 
     def test_singular_system_rejected(self):
         iset = make_set([[0.1, 0.0], [0.1, 0.0], [0.0, 0.3], [-0.2, 0.1], [0.3, 0.2]])
@@ -184,16 +184,15 @@ class TestMfnLagrange:
             combo = values @ system.lagrange_values(y)
             assert model.value(y) == pytest.approx(combo, abs=1e-8)
 
-    def test_polynomial_object_matches_factorization_route(self, rng):
+    def test_polynomial_stack_matches_factorization_route(self, rng):
         iset, system = random_invertible_set(rng, 3, 8)
         ys = rng.uniform(-1, 1, (30, 3))
+        stack = system.stacked_lagrange()
         for t in range(iset.npoints):
-            poly = system.lagrange_polynomial(t)
+            row = stack.values(ys, np.full(len(ys), t))
             via_phi = system.lagrange_values_many(ys)[:, t]
-            np.testing.assert_allclose(poly.values(ys), via_phi, atol=1e-9)
-            assert qm.eval_mfn_lagrange(system, t, ys[0]) == pytest.approx(
-                poly.value(ys[0]), abs=1e-9
-            )
+            np.testing.assert_allclose(row, via_phi, atol=1e-9)
+            assert qm.eval_mfn_lagrange(system, t, ys[0]) == pytest.approx(row[0], abs=1e-9)
 
     def test_index_bounds(self, rng):
         _, system = random_invertible_set(rng, 2, 4)
@@ -277,7 +276,7 @@ class TestHessianRayleighBound:
             model = qm.fit_mfn_model(system, values)
             kappa_h = acc.hessian_rayleigh_bound(iset.npoints, lam_hat, lipschitz, beta)
             D = iset.points - iset.base
-            rayleigh = np.max(np.abs(D @ model.H @ D.T))
+            rayleigh = np.max(np.abs(D @ model.hessians()[0] @ D.T))
             assert rayleigh <= kappa_h * beta**2 * min(delta, 1.0) ** 2
 
 

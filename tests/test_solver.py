@@ -238,6 +238,22 @@ class TestEdgeCases:
         assert any("infeasible" in note for note in record.notes)
         assert geo.contains(problem.region, x, 1e-9)
 
+    @pytest.mark.parametrize("region", [
+        geo.Halfspaces(np.vstack([-np.eye(3), np.ones((1, 3))]), [0.5, 0.5, 0.5, 1.0]),
+        geo.Halfspaces([[0.3, 0.2, 0.1]], [0.05]),
+    ], ids=["simplex", "halfspace"])
+    def test_infeasible_start_is_an_exact_member(self, region):
+        # The projections of most of these starts round to just outside the
+        # region; f is first called at the start, which must be a member.
+        rng = np.random.default_rng(0)
+        starts = [x0 for x0 in rng.uniform(-3.0, 3.0, (40, 3)) if not region.is_member(x0)]
+        assert len(starts) >= 8
+        for x0 in starts:
+            f, points = recording(lambda y: float(y @ y))
+            _, record = solve(f, region, x0, SolverConfig(max_evals=1, seed=0))
+            assert record.status == "budget"
+            assert region.is_member(points[0])
+
     def test_budget_exhaustion_status(self):
         problem, _, x, record = run("rosenbrock2d", npoints=6, max_evals=25, seed=0)
         assert record.status == "budget"

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from convexdfo import geometry as geo
 from convexdfo import subproblems as sp
-from convexdfo.linear_models import LinearModel
-from convexdfo.quadratic_models import QuadraticModel
+from convexdfo.quadratic_models import Quadratics
 
 from oracles import grid_criticality
 
@@ -171,7 +170,7 @@ def box_criticality(g, x, lo, hi, radius):
 
 
 def linear_model(g, base):
-    return LinearModel(0.0, np.asarray(g, float), np.asarray(base, float))
+    return Quadratics.from_hessian(base, 0.0, g)
 
 
 class TestTrustRegionStep:
@@ -193,7 +192,7 @@ class TestTrustRegionStep:
     def test_interior_quadratic_reaches_minimizer(self):
         H = np.diag([1.0, 2.0])
         g = np.array([0.3, -0.4])
-        model = QuadraticModel(1.0, g, H, np.zeros(2))
+        model = Quadratics.from_hessian(np.zeros(2), 1.0, g, H)
         xstar = -np.linalg.solve(H, g)
         step = sp.solve_trust_region_step(model, np.zeros(2), geo.WholeSpace(2), 1.0)
         assert np.linalg.norm(step.step - xstar) <= 1e-4
@@ -202,7 +201,7 @@ class TestTrustRegionStep:
     def test_interior_quadratic_in_box(self):
         H = np.array([[2.0, 0.3], [0.3, 1.0]])
         g = np.array([0.4, -0.3])
-        model = QuadraticModel(0.0, g, H, np.zeros(2))
+        model = Quadratics.from_hessian(np.zeros(2), 0.0, g, H)
         region = geo.Box([-1.0, -1.0], [1.0, 1.0])
         xstar = -np.linalg.solve(H, g)
         assert region.is_member(xstar) and np.linalg.norm(xstar) < 1.0
@@ -215,15 +214,15 @@ class TestTrustRegionStep:
         region = geo.Box([-1.0, -1.0], [1.0, 1.0])
         x = rng.uniform(-1, 1, 2)
         A = rng.standard_normal((2, 2))
-        model = QuadraticModel(
-            rng.standard_normal(), rng.standard_normal(2), A + A.T, x
+        model = Quadratics.from_hessian(
+            x, rng.standard_normal(), rng.standard_normal(2), A + A.T
         )
         delta = float(rng.uniform(0.05, 2.0))
         step = sp.solve_trust_region_step(model, x, region, delta, c1=0.1)
         assert np.linalg.norm(step.step) <= delta * (1 + 1e-9)
         assert geo.contains(region, x + step.step, 1e-9)
         assert step.predicted_reduction >= 0.0
-        target = sp.cauchy_decrease_target(step.pi_model, model.hess_norm(), delta, 0.1)
+        target = sp.cauchy_decrease_target(step.pi_model, model.hess_norms()[0], delta, 0.1)
         if step.satisfied_cauchy:
             assert step.predicted_reduction >= target - 1e-10
         assert step.satisfied_cauchy  # the two-phase search achieves it here
@@ -232,7 +231,7 @@ class TestTrustRegionStep:
         # phase 2 never returns less reduction than the Cauchy phase
         H = np.diag([4.0, 0.5])
         g = np.array([1.0, 1.0])
-        model = QuadraticModel(0.0, g, H, np.zeros(2))
+        model = Quadratics.from_hessian(np.zeros(2), 0.0, g, H)
         region = geo.Ball([0.0, 0.0], 1.0)
         step = sp.solve_trust_region_step(model, np.zeros(2), region, 0.8)
         gnorm = np.linalg.norm(g)
@@ -298,7 +297,7 @@ class TestTrustRegionStep:
             h = np.arange(1.0, n + 1.0)
             g = rng.standard_normal(n)
             delta = 10.0 ** rng.uniform(-2, 0.5)
-            model = QuadraticModel(0.0, g, np.diag(h), np.zeros(n))
+            model = Quadratics.from_hessian(np.zeros(n), 0.0, g, np.diag(h))
             step = sp.solve_trust_region_step(
                 model, np.zeros(n), geo.WholeSpace(n), delta, pi_m=np.linalg.norm(g)
             )
@@ -353,11 +352,11 @@ def test_whole_space_search_is_backtracking_bit_for_bit(seed):
     n = int(rng.integers(2, 21))
     x = rng.standard_normal(n)
     A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 2)
-    model = QuadraticModel(rng.standard_normal(), rng.standard_normal(n), A + A.T, x)
+    model = Quadratics.from_hessian(x, rng.standard_normal(), rng.standard_normal(n), A + A.T)
     delta = 10.0 ** rng.uniform(-9, 1)
     g, m_x = model.grad(x), model.value(x)
     pi = float(np.linalg.norm(g))  # the criticality measure on the whole space
-    target = sp.cauchy_decrease_target(pi, model.hess_norm(), delta, 0.1)
+    target = sp.cauchy_decrease_target(pi, model.hess_norms()[0], delta, 0.1)
     tr_proj = geo.TrustRegionProjector(geo.WholeSpace(n), x, delta)
 
     def proj(y):
