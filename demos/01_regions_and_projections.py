@@ -30,9 +30,12 @@ print("projecting (2, 2) onto box-and-ball:  ", res.point,
 print("on the ball boundary within 1e-10:", geo.contains(ball, [1.0 + 1e-12, 0.0]))
 
 # Every trust-region subproblem works over the region intersected with a
-# ball around the current iterate; this projection is a first-class citizen.
-tr = geo.project_onto_ball_intersection(box, np.zeros(2), 0.5, [1.0, 1.0])
-print("projection onto box intersect B(0, 0.5) from (1, 1):", tr.point)
+# ball around the current iterate; a projector onto that set takes a batch
+# of rows and keeps the Dykstra sweep count of its last call.
+projector = geo.TrustRegionProjector(box, np.zeros(2), 0.5)
+tr = projector(np.array([[1.0, 1.0]]))[0]
+print("projection onto box intersect B(0, 0.5) from (1, 1):", tr,
+      f"(sweeps={projector.last_sweeps})")
 
 # The projection obeys the variational inequality: the residual direction
 # separates the point from the whole feasible set.

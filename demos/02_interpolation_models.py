@@ -42,21 +42,23 @@ quad = fit_mfn_model(system, values)
 print("quadratic model Hessian:\n", np.round(quad.hessians()[0], 4))
 print("interpolation error:", np.max(np.abs(quad.values(iset.points) - values)))
 
+# The Lagrange polynomials are the rows of one Quadratics sharing the
+# Hessian factor Z / scale; its table holds every row's value at every point.
+lagrange = system.stacked_lagrange()
+print("Lagrange stack:", len(lagrange.c), "rows, Hessian factor", lagrange.U.shape)
+
 # Lagrange polynomials take value 1 at their own point and 0 at the others
 # (exactly for interpolation, in the least-squares sense for regression).
-L = system.lagrange_values_many(iset.points)
+L = lagrange.table(iset.points)
 print("max |l_t(y_s) - delta_st|:", np.max(np.abs(L - np.eye(5))))
 
 # Both families reproduce affine data: the values sum to one and rebuild
 # displacements, which is what makes poisedness control model accuracy.
 y = rng.uniform(-0.8, 0.8, 2)
-ell = system.lagrange_values(y)
+ell = lagrange.table(y[None])[:, 0]
 print("sum of l_t(y):", ell.sum())
 print("rebuilt displacement:", ell @ (iset.points - iset.base), "vs", y - iset.base)
 
-# The model is the value-weighted combination of its Lagrange polynomials,
-# which are the rows of one Quadratics sharing the Hessian factor Z / scale.
-lagrange = system.stacked_lagrange()
-print("Lagrange stack:", len(lagrange.c), "rows, Hessian factor", lagrange.U.shape)
+# The model is the value-weighted combination of its Lagrange polynomials.
 combo = values @ ell
 print("m(y) =", quad.value(y), " sum_t f(y_t) l_t(y) =", combo)

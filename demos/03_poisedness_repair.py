@@ -35,7 +35,8 @@ repaired, cert, swaps = improve_to_poised(
 print(f"repair finished after {len(swaps)} swaps; verified = {cert.verified}")
 for i, swap in enumerate(swaps):
     print(f"  swap {i}: replaced point {swap.index} where |l_t| = "
-          f"{swap.lagrange_value:8.3f};  log|det F| -> {swap.actual_det.logabs:8.3f}")
+          f"{swap.lagrange_value:8.3f};  log|det F| {swap.det_before.logabs:8.3f} -> "
+          f"{swap.det_after.logabs:8.3f}")
 
 print("repaired points:\n", np.round(repaired.points, 4))
 

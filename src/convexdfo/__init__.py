@@ -8,7 +8,8 @@ when every sample must stay feasible:
   polynomials.
 * :mod:`convexdfo.quadratic_models` -- :class:`Quadratics`, the one quadratic
   type (a model is ``sum_t f(y_t) l_t``, one row), minimum-Frobenius-norm
-  interpolation, the bordered KKT system, determinant update identities.
+  interpolation, the bordered KKT system, and the determinant update
+  identity (validation only).
 * :mod:`convexdfo.poisedness` -- geometry certificates and constructive
   repair of interpolation sets.
 * :mod:`convexdfo.accuracy` -- guaranteed accuracy constants and sampled
@@ -31,14 +32,12 @@ from .geometry import (
     contains,
     parse_region,
     project,
-    project_onto_ball_intersection,
 )
 from .linear_models import (
     DegenerateGeometryError,
     InterpolationSet,
     RegressionBasis,
     build_design_matrix,
-    eval_regression_lagrange,
     fit_regression_model,
 )
 from .poisedness import (
@@ -52,8 +51,7 @@ from .quadratic_models import (
     Quadratics,
     SingularGeometryError,
     assemble_system,
-    det_after_point_swap,
-    eval_mfn_lagrange,
+    det_swap_factor,
     fit_mfn_model,
 )
 from .solver import RunRecord, SolverConfig, SolverError, solve
@@ -73,12 +71,10 @@ __all__ = [
     "contains",
     "parse_region",
     "project",
-    "project_onto_ball_intersection",
     "DegenerateGeometryError",
     "InterpolationSet",
     "RegressionBasis",
     "build_design_matrix",
-    "eval_regression_lagrange",
     "fit_regression_model",
     "PoisednessCertificate",
     "check_poisedness",
@@ -88,8 +84,7 @@ __all__ = [
     "Quadratics",
     "SingularGeometryError",
     "assemble_system",
-    "det_after_point_swap",
-    "eval_mfn_lagrange",
+    "det_swap_factor",
     "fit_mfn_model",
     "RunRecord",
     "SolverConfig",

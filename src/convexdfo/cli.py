@@ -32,7 +32,7 @@ from .accuracy import fully_linear_report, mfn_accuracy_constants, regression_ac
 from .geometry import ProjectionError, parse_region
 from .linear_models import InterpolationSet, build_design_matrix, fit_regression_model
 from .problems import get_problem, problem_names, true_criticality
-from .quadratic_models import assemble_system, fit_mfn_model
+from .quadratic_models import SingularGeometryError, assemble_system, fit_mfn_model
 from .sampling import sample_feasible_in_ball
 from .solver import MODEL_KINDS, SolverConfig, SolverError, solve
 
@@ -194,14 +194,14 @@ def cmd_poisedness(args):
             iset, region, iset.base, iset.radius, iset.npoints, lam, rng=rng
         )
     except (poisedness.PoisednessImprovementError, poisedness.ThinRegionError,
-            ProjectionError, ValueError) as exc:
+            ProjectionError, SingularGeometryError, ValueError) as exc:
         print(f"improvement failed: {exc}", file=sys.stderr)
         return 2
     serialize.save_set(improved, args.out_file)
     for i, swap in enumerate(swaps):
         print(
             f"swap {i}: index={swap.index} |l_t|={swap.lagrange_value!r} "
-            f"log|det| {swap.predicted_det.logabs!r} -> {swap.actual_det.logabs!r}"
+            f"log|det| {swap.det_before.logabs!r} -> {swap.det_after.logabs!r}"
         )
     print(
         f"poisedness improve lambda={lam} swaps={len(swaps)} "

@@ -34,7 +34,6 @@ __all__ = [
     "TrustRegionProjector",
     "project",
     "contains",
-    "project_onto_ball_intersection",
     "shrink_into",
     "parse_region",
     "membership_tolerance",
@@ -551,24 +550,6 @@ class TrustRegionProjector:
     def __call__(self, ys):
         out, self.last_sweeps, self.last_residual = _route(self.region, ys, self.ball)
         return out
-
-
-def project_onto_ball_intersection(region, center, radius, y):
-    """Projection onto ``region`` intersected with a ball, as a ProjectionResult.
-
-    The feasible set of every trust-region subproblem has this shape.  A
-    region with one analytic piece is projected onto exactly; otherwise
-    the two exact shortcuts (projection onto one set landing in the other)
-    come first and Dykstra's scheme, with the ball as one more piece,
-    handles the rest.
-    """
-    ys, single = _as_batch(y)
-    region._check_dim(ys)
-    projector = TrustRegionProjector(region, center, radius)
-    points = projector(ys)
-    return ProjectionResult(
-        points[0] if single else points, projector.last_sweeps, float(projector.last_residual)
-    )
 
 
 def shrink_into(region, x, s):

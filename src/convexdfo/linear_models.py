@@ -13,7 +13,7 @@ with no Hessian factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "DegenerateGeometryError",
     "build_design_matrix",
     "fit_regression_model",
-    "eval_regression_lagrange",
 ]
 
 
@@ -100,11 +99,12 @@ class InterpolationSet:
 
 @dataclass
 class RegressionBasis:
-    """Design matrix, SVD pseudoinverse and regression Lagrange coefficients.
+    """Design matrix, its SVD and the regression Lagrange coefficients.
 
-    ``lagrange_coeffs`` has one column per sample point, holding
-    ``(c_t, g_t)`` for the t-th Lagrange polynomial (the pseudoinverse
-    applied to the t-th standard basis vector).
+    ``lagrange_coeffs`` is the SVD pseudoinverse of the design matrix: one
+    column per sample point, holding ``(c_t, g_t)`` for the t-th Lagrange
+    polynomial (the pseudoinverse applied to the t-th standard basis
+    vector).
     """
 
     base: np.ndarray
@@ -114,11 +114,7 @@ class RegressionBasis:
     svd: tuple
     rank: int
     rank_tol: float
-    pinv: np.ndarray
-    lagrange_coeffs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.lagrange_coeffs = self.pinv
+    lagrange_coeffs: np.ndarray
 
     @property
     def npoints(self):
@@ -143,16 +139,6 @@ class RegressionBasis:
         coeffs = self.lagrange_coeffs
         return Quadratics(self.base, coeffs[0], np.ascontiguousarray(coeffs[1:].T))
 
-    def lagrange_values(self, y):
-        """All p Lagrange polynomial values at one point ``y``."""
-        rhs = np.concatenate(([1.0], np.asarray(y, float) - self.base))
-        return self.lagrange_coeffs.T @ rhs
-
-    def lagrange_values_many(self, ys):
-        ys = np.asarray(ys, float)
-        rhs = np.column_stack([np.ones(len(ys)), ys - self.base])
-        return rhs @ self.lagrange_coeffs
-
 
 def build_design_matrix(iset, require_full_rank=True):
     """Assemble the regression system for an interpolation set.
@@ -176,7 +162,6 @@ def build_design_matrix(iset, require_full_rank=True):
             f"degenerate geometry: design matrix rank {rank} < {n + 1}"
         )
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    pinv = (Vt.T * inv_s) @ U.T
     return RegressionBasis(
         base=iset.base,
         radius=iset.radius,
@@ -185,7 +170,7 @@ def build_design_matrix(iset, require_full_rank=True):
         svd=(U, s, Vt),
         rank=rank,
         rank_tol=cutoff,
-        pinv=pinv,
+        lagrange_coeffs=(Vt.T * inv_s) @ U.T,
     )
 
 
@@ -202,10 +187,3 @@ def fit_regression_model(basis, values):
         raise DegenerateGeometryError("cannot fit on rank-deficient geometry")
     coef = basis.lagrange_coeffs @ values
     return Quadratics(basis.base, coef[:1], coef[None, 1:])
-
-
-def eval_regression_lagrange(basis, t, y):
-    """Value of the t-th regression Lagrange polynomial at ``y``."""
-    if not 0 <= t < basis.npoints:
-        raise IndexError(f"polynomial index {t} out of range")
-    return float(basis.lagrange_values(y)[t])

@@ -40,7 +40,7 @@ import numpy as np
 
 from .geometry import TrustRegionProjector, contains, shrink_into
 from .linear_models import InterpolationSet
-from .quadratic_models import SignedLogDet, assemble_system, det_after_point_swap
+from .quadratic_models import SignedLogDet, assemble_system
 from .sampling import sample_feasible_in_ball
 from .subproblems import _polish
 
@@ -110,13 +110,14 @@ class PoisednessCertificate:
 
 @dataclass
 class SwapRecord:
-    """One swap of a point above the level in the repair loop."""
+    """One swap of a point above the level in the repair loop, with the
+    determinants of the system before and after it."""
 
     index: int
     point: np.ndarray
     lagrange_value: float
-    predicted_det: SignedLogDet
-    actual_det: SignedLogDet
+    det_before: SignedLogDet
+    det_after: SignedLogDet
 
 
 def _as_rng(rng):
@@ -142,7 +143,7 @@ def _ascend_stacked(system, starts, region, x, r, lam, early_exit):
     give each polynomial's best value and point; returns those plus the
     :class:`SubsolverStats`.  Polynomials whose interval bound on the search
     ball is at most ``lam`` cannot exceed it: their rows are never polished
-    nor evaluated, and keep their start values from the system.  With
+    nor evaluated, and keep their start values from the stack.  With
     ``early_exit``, stops as soon as any row exceeds ``lam`` (a found
     violation is always genuine; only the above/below answer is needed then).
     """
@@ -159,7 +160,7 @@ def _ascend_stacked(system, starts, region, x, r, lam, early_exit):
         stack, which, signs, Y, rows, TrustRegionProjector(region, x, r), r,
         1e-12 * (r + float(np.linalg.norm(x))),
         stop=-lam if early_exit else None)
-    at_starts = system.lagrange_values_many(starts).T
+    at_starts = stack.table(starts)
     found = np.concatenate([at_starts, -at_starts], axis=1)
     found.flat[rows] = -vals  # row order whatever the layout concatenate chose
     best = np.argmax(found, axis=1)
@@ -301,11 +302,10 @@ def _repair(work, system, region, lam, rng, cap=None):
             t, y_new = cert.witness_index, cert.witness_point
         if not region.is_member(y_new):  # rounding left it just outside
             y_new = x + shrink_into(region, x, y_new - x)
-        predicted = det_after_point_swap(system, t, y_new)
         work = work.replace_point(t, y_new)
-        system = assemble_system(work)
+        before, system = system, assemble_system(work)
         if bad is None:
-            swap_log.append(SwapRecord(t, y_new, cert.lambda_observed, predicted, system.det))
+            swap_log.append(SwapRecord(t, y_new, cert.lambda_observed, before.det, system.det))
 
 
 def initial_invertible_set(region, x, delta, p, rng=None):
@@ -334,7 +334,7 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
     B(x, min(delta, 1)) (the certificate's test); an infeasible point inside
     the ball is repaired in place.  Then runs the repair loop at ``lam``:
     each swap of a point above ``lam`` multiplies |det F| by at least
-    ``lam^2`` and is logged with predicted and recomputed determinants.
+    ``lam^2`` and is logged with the determinants before and after it.
 
     Returns ``(set, certificate of the last check, swap_log)``.
     """

@@ -12,19 +12,21 @@ where ``M`` is the regression design matrix and
 ``Q_ij = 0.5 * ((y_i - x)^T (y_j - x))^2``.  The Hessian is recovered from
 the multipliers as ``H = sum_t lambda_t (y_t - x)(y_t - x)^T``.  The t-th
 Lagrange polynomial solves the same system with the t-th standard basis
-vector on the right-hand side, and evaluates as ``e_t^T F^{-1} phi(y)``.
-The system is linear in its right-hand side, so the model is the
-value-weighted sum ``sum_t f(y_t) l_t``.  Every quadratic of the package,
-model or Lagrange polynomial, is a row of :class:`Quadratics`, whose
-Hessians stay in this factored form.
+vector on the right-hand side.  The system is linear in its right-hand
+side, so the model is the value-weighted sum ``sum_t f(y_t) l_t``.  Every
+quadratic of the package, model or Lagrange polynomial, is a row of
+:class:`Quadratics`, whose Hessians stay in this factored form; every
+Lagrange value is read from that stack.
 
 The system is assembled in displacements divided by min(radius, 1): the
 ``Q`` block is quartic in the point radius, so the unscaled matrix is
 needlessly ill-conditioned.  Lagrange values are invariant under this
 rescaling; model coefficients are mapped back by the chain rule.
 
-Point-swap determinant prediction: replacing the t-th point changes the
-t-th row and column of ``F`` to ``phi(y) + eta_t e_t``, and for a symmetric
+Point-swap determinant identity (:func:`det_swap_factor`, for validation;
+the repair loop refactorizes): replacing the t-th point changes the t-th
+row and column of ``F`` to ``phi(y) + eta_t e_t``, with ``phi(y)`` the
+scaled ``(0.5 ((y_s - x)^T (y - x))^2, 1, y - x)``, and for a symmetric
 invertible matrix such an update multiplies the determinant by
 ``l_t(y)^2 + alpha_t beta_t`` with ``alpha_t = e_t^T F^{-1} e_t`` and
 ``beta_t = 0.5 ||y - x||^4 - phi(y)^T F^{-1} phi(y)``; both correction
@@ -49,8 +51,7 @@ __all__ = [
     "max_points",
     "assemble_system",
     "fit_mfn_model",
-    "eval_mfn_lagrange",
-    "det_after_point_swap",
+    "det_swap_factor",
 ]
 
 # F is declared singular when an LU pivot falls below this fraction of the
@@ -79,15 +80,6 @@ class SignedLogDet:
         if self.sign == 0.0:
             return 0.0
         return self.sign * math.exp(self.logabs)
-
-    def scaled_by(self, factor):
-        """Determinant after multiplication by a (possibly negative) factor."""
-        if factor == 0.0 or self.sign == 0.0:
-            return SignedLogDet(0.0, -math.inf)
-        return SignedLogDet(
-            self.sign * math.copysign(1.0, factor),
-            self.logabs + math.log(abs(factor)),
-        )
 
 
 def _lu_signed_logdet(lu, piv):
@@ -137,6 +129,15 @@ class Quadratics:
 
     def _hess_times(self, D, which):
         return (self.w[which] * (D @ self.U.T)) @ self.U
+
+    def table(self, Y):
+        """Every row's value at every point, shape ``(rows, len(Y))``; the
+        Hessian terms take O(len(Y) * len(U)) memory."""
+        D = np.asarray(Y, dtype=float) - self.base
+        T = self.c[:, None] + self.g @ D.T
+        if self.U is not None:
+            T += 0.5 * (self.w @ ((D @ self.U.T) ** 2).T)
+        return T
 
     def values(self, Y, which=None):
         D = np.asarray(Y, dtype=float) - self.base
@@ -219,29 +220,11 @@ class MfnSystem:
     def nondegenerate(self):
         return self.invertible
 
-    def scaled_point(self, y):
-        return (np.asarray(y, float) - self.base) / self.scale
-
-    def phi(self, y):
-        """Basis vector phi(y) of the swap/evaluation identities (scaled)."""
-        z = self.scaled_point(y)
-        w = self.Z @ z
-        return np.concatenate([0.5 * w**2, [1.0], z])
-
-    def phi_many(self, ys):
-        Zs = (np.asarray(ys, float) - self.base) / self.scale
-        W = Zs @ self.Z.T
-        return np.column_stack([0.5 * W**2, np.ones(len(Zs)), Zs])
-
     def _require_invertible(self):
         if not self.invertible:
             raise SingularGeometryError(
                 f"singular geometry: pivot ratio {self.pivot_ratio:.3e}"
             )
-
-    def solve(self, rhs):
-        self._require_invertible()
-        return scipy.linalg.lu_solve(self.lu, rhs)
 
     def stacked_lagrange(self):
         """All p Lagrange polynomials in original coordinates, as
@@ -253,15 +236,6 @@ class MfnSystem:
         g = np.ascontiguousarray(sol[p + 1:].T) / self.scale
         return Quadratics(self.base, sol[p], g, self.Z / self.scale,
                           np.ascontiguousarray(sol[:p].T))
-
-    def lagrange_values(self, y):
-        """All p Lagrange polynomial values at ``y`` via e_t^T F^{-1} phi(y)."""
-        self._require_invertible()
-        return self.lagrange_solutions.T @ self.phi(y)
-
-    def lagrange_values_many(self, ys):
-        self._require_invertible()
-        return self.phi_many(ys) @ self.lagrange_solutions
 
 
 def assemble_system(iset, require_invertible=True):
@@ -341,13 +315,6 @@ def fit_mfn_model(system, values):
     return system.stacked_lagrange().weighted_sum(values)
 
 
-def eval_mfn_lagrange(system, t, y):
-    """Value of the t-th Lagrange polynomial at ``y`` via the factorization."""
-    if not 0 <= t < system.npoints:
-        raise IndexError(f"polynomial index {t} out of range")
-    return float(system.lagrange_values(y)[t])
-
-
 def det_swap_factor(system, t, y_new):
     """Determinant ratio det(F_new)/det(F) for replacing point t by ``y_new``.
 
@@ -355,18 +322,9 @@ def det_swap_factor(system, t, y_new):
     update identity, without refactorizing.
     """
     system._require_invertible()
-    p = system.npoints
-    phi = system.phi(y_new)
-    finv_phi = system.solve(phi)
-    ell = float(finv_phi[t])
+    z = (np.asarray(y_new, dtype=float) - system.base) / system.scale
+    phi = np.concatenate([0.5 * (system.Z @ z) ** 2, [1.0], z])
+    finv_phi = scipy.linalg.lu_solve(system.lu, phi)
     alpha = float(system.lagrange_solutions[t, t])  # e_t^T F^{-1} e_t
-    z = system.scaled_point(y_new)
     beta = 0.5 * float(z @ z) ** 2 - float(phi @ finv_phi)
-    return ell**2 + alpha * beta
-
-
-def det_after_point_swap(system, t, y_new):
-    """Predicted signed determinant after replacing point t by ``y_new``."""
-    if not 0 <= t < system.npoints:
-        raise IndexError(f"point index {t} out of range")
-    return system.det.scaled_by(det_swap_factor(system, t, y_new))
+    return float(finv_phi[t]) ** 2 + alpha * beta

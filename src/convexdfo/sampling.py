@@ -8,6 +8,9 @@ from .geometry import TrustRegionProjector
 
 __all__ = ["uniform_in_ball", "sample_feasible_in_ball"]
 
+# Rejection batches drawn before the shortfall is filled by projection.
+MAX_BATCHES = 200
+
 
 def uniform_in_ball(rng, center, radius, count):
     """Draw ``count`` points uniformly from the ball ``B(center, radius)``."""
@@ -19,17 +22,17 @@ def uniform_in_ball(rng, center, radius, count):
     return center + radii[:, None] * directions
 
 
-def sample_feasible_in_ball(rng, region, center, radius, count, max_batches=200):
+def sample_feasible_in_ball(rng, region, center, radius, count):
     """Sample ``count`` points uniformly from ``B(center, radius)`` in the region.
 
     Rejection sampling in batches.  If the feasible volume fraction is too
-    small to fill the quota within ``max_batches`` draws, the shortfall is
+    small to fill the quota within ``MAX_BATCHES`` draws, the shortfall is
     topped up with projections of ball samples onto the feasible set (no
     longer uniform, but still feasible and spread out).
     """
     kept = []
     total = 0
-    for _ in range(max_batches):
+    for _ in range(MAX_BATCHES):
         batch = uniform_in_ball(rng, center, radius, max(count, 64))
         ok = region.is_member_batch(batch)
         if np.any(ok):

@@ -48,7 +48,7 @@ from .poisedness import (
     check_poisedness,
     improve_to_poised,
 )
-from .quadratic_models import assemble_system, fit_mfn_model, max_points
+from .quadratic_models import SingularGeometryError, assemble_system, fit_mfn_model, max_points
 from .sampling import sample_feasible_in_ball
 from .subproblems import criticality_measure, solve_trust_region_step
 
@@ -389,7 +389,7 @@ def solve(f, region, x0, config=None):
     except BudgetExhausted:
         record.status = "budget"
     except (ThinRegionError, PoisednessImprovementError, ProjectionError,
-            _ObjectiveFailure) as exc:
+            SingularGeometryError, _ObjectiveFailure) as exc:
         record.status = "error"
         # A failing f is reported through its own exception, not the signal.
         raise SolverError(str(exc), record) from (exc.__cause__ or exc)

@@ -122,6 +122,20 @@ def grid_criticality(g, x, region, radius=1.0, step=1e-3, refine=2):
     return abs(best_val)
 
 
+def kkt_lagrange_values(system, ys):
+    """All p Lagrange values at each row of ``ys``, shape (len(ys), p).
+
+    The KKT basis form ``e_t^T F^{-1} phi(y)``, independent of the
+    factored stack: ``phi(y)`` is built from the scaled displacements ``Z``
+    as ``(0.5 (Z z)^2, 1, z)`` with ``z = (y - base) / scale``, and the
+    columns of ``lagrange_solutions`` are ``F^{-1} e_t``.
+    """
+    Zs = (np.atleast_2d(np.asarray(ys, dtype=float)) - system.base) / system.scale
+    W = Zs @ system.Z.T
+    phi = np.column_stack([0.5 * W**2, np.ones(len(Zs)), Zs])
+    return phi @ system.lagrange_solutions
+
+
 def grid_lagrange_max(system, region, x, r, step=1.5e-3, refine=0):
     """Dense-grid maxima of all |l_t| over B(x, r) and the region (n = 2).
 
@@ -147,7 +161,7 @@ def grid_lagrange_max(system, region, x, r, step=1.5e-3, refine=0):
             pts = pts[region.is_member_batch(pts)]
             if len(pts) == 0:
                 continue
-            vals = np.abs(system.lagrange_values_many(pts))
+            vals = np.abs(kkt_lagrange_values(system, pts))
             rows = vals.argmax(axis=0)
             chunk_best = vals[rows, np.arange(p)]
             better = chunk_best > best

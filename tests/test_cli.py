@@ -241,6 +241,21 @@ class TestCliPoisedness:
         ])
         assert code == 2
 
+    def test_singular_geometry_exits_2(self, tmp_path, capsys):
+        # Points outside the ball force a rebuild, which leaves a singular
+        # system on this thin box.
+        x = np.array([5e-4, 5e-4])
+        far = x + 2.0 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0]])
+        path = tmp_path / "far.json"
+        serialize.save_set(InterpolationSet(x, 1.0, far), path)
+        code = main([
+            "poisedness", "improve", "--set", str(path),
+            "--region", "box(lower=[0,0], upper=[1,0.001])", "--lambda", "10",
+            "--seed", "1", "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        assert "singular geometry" in capsys.readouterr().err
+
     def test_improve_requires_out(self, cluster_file):
         assert main([
             "poisedness", "improve", "--set", str(cluster_file),

@@ -90,26 +90,24 @@ class TestContains:
 
 class TestBallIntersectionProjection:
     def test_whole_space_reduces_to_ball(self):
-        res = geo.project_onto_ball_intersection(
-            geo.WholeSpace(2), np.zeros(2), 1.0, [0.0, 2.0]
-        )
-        np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-15)
+        point = geo.TrustRegionProjector(geo.WholeSpace(2), np.zeros(2), 1.0)([[0.0, 2.0]])[0]
+        np.testing.assert_allclose(point, [0.0, 1.0], atol=1e-15)
 
     def test_box_with_ball_matches_refined_oracle(self):
         box = geo.Box([0.0, 0.0], [1.0, 1.0])
         y = np.array([1.0, 1.0])
-        res = geo.project_onto_ball_intersection(box, np.zeros(2), 0.5, y)
+        point = geo.TrustRegionProjector(box, np.zeros(2), 0.5)(y[None])[0]
         region = geo.Intersection([box, geo.Ball(np.zeros(2), 0.5)])
         coarse = grid_project(region, y, [-0.1, -0.1], [0.6, 0.6], levels=3)
-        assert np.linalg.norm(res.point - coarse) <= 1e-3
+        assert np.linalg.norm(point - coarse) <= 1e-3
         truth = arc_projection([0.0, 0.0], 0.5, y, box.is_member)
-        assert np.linalg.norm(res.point - truth) <= 1e-8
+        assert np.linalg.norm(point - truth) <= 1e-8
 
     def test_feasible_point_is_fixed(self):
         box = geo.Box([0.0, 0.0], [1.0, 1.0])
         y = np.array([0.2, 0.1])
-        res = geo.project_onto_ball_intersection(box, np.zeros(2), 0.5, y)
-        np.testing.assert_array_equal(res.point, y)
+        point = geo.TrustRegionProjector(box, np.zeros(2), 0.5)(y[None])[0]
+        np.testing.assert_array_equal(point, y)
 
     def test_two_ball_closed_form_vs_dykstra(self, rng):
         for _ in range(50):
@@ -120,11 +118,11 @@ class TestBallIntersectionProjection:
             if np.linalg.norm(center - c) >= 0.9 * (region.radius + radius):
                 continue
             y = rng.standard_normal(3) * 2.5
-            res = geo.project_onto_ball_intersection(region, center, radius, y)
+            point = geo.TrustRegionProjector(region, center, radius)(y[None])[0]
             pts, _, _ = geo._dykstra_batch(
                 [region, geo.Ball(center, radius)], np.array([y])
             )
-            assert np.linalg.norm(res.point - pts[0]) <= 1e-7
+            assert np.linalg.norm(point - pts[0]) <= 1e-7
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8])
     def test_small_cap_of_a_ball_lands_on_the_trust_sphere(self, delta):
@@ -238,8 +236,9 @@ class TestPieceBallRoutes:
         solve(problem.f, problem.region, problem.x0, SolverConfig(max_evals=80, seed=0))
         for kind in PIECE_KINDS:
             region, c, r, ys = piece_ball_case(kind, 3, 7)
-            geo.TrustRegionProjector(region, c, r)(ys)
-            geo.project_onto_ball_intersection(region, c, r, ys[1])
+            projector = geo.TrustRegionProjector(region, c, r)
+            projector(ys)
+            assert projector.last_sweeps == 0
         for region in regions_for_properties():
             pieces = region.dykstra_pieces()
             with_ball = len(pieces) == 2 and any(isinstance(p, geo.Ball) for p in pieces)

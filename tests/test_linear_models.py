@@ -77,14 +77,14 @@ class TestLagrangePolynomials:
     def test_square_case_delta_property(self, rng):
         pts = rng.standard_normal((4, 3))
         basis = lm.build_design_matrix(make_set(pts))
-        L = np.array([basis.lagrange_values(y) for y in pts])
+        L = basis.stacked_lagrange().table(pts).T
         assert np.max(np.abs(L - np.eye(4))) <= 1e-10
 
     def test_partition_of_unity(self, rng):
         pts = rng.standard_normal((9, 3))
         basis = lm.build_design_matrix(make_set(pts))
-        for y in rng.standard_normal((20, 3)):
-            assert basis.lagrange_values(y).sum() == pytest.approx(1.0, abs=1e-9)
+        for ell in basis.stacked_lagrange().table(rng.standard_normal((20, 3))).T:
+            assert ell.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_pseudoinverse_oracle(self):
         # dense SVD pseudoinverse oracle, built independently
@@ -94,14 +94,9 @@ class TestLagrangePolynomials:
         pinv = np.linalg.pinv(M)
         y = np.array([0.0])
         expected = pinv.T @ np.concatenate([[1.0], y])
-        np.testing.assert_allclose(basis.lagrange_values(y), expected, atol=1e-12)
-        np.testing.assert_allclose(basis.lagrange_values(y), [1 / 3] * 3, atol=1e-12)
-        assert lm.eval_regression_lagrange(basis, 2, y) == pytest.approx(1 / 3)
-
-    def test_index_bounds(self):
-        basis = lm.build_design_matrix(make_set([[0.0], [1.0]]))
-        with pytest.raises(IndexError):
-            lm.eval_regression_lagrange(basis, 2, [0.0])
+        ell = basis.stacked_lagrange().table(y[None])[:, 0]
+        np.testing.assert_allclose(ell, expected, atol=1e-12)
+        np.testing.assert_allclose(ell, [1 / 3] * 3, atol=1e-12)
 
 
 class TestReproductionIdentities:
@@ -109,8 +104,8 @@ class TestReproductionIdentities:
         # M^T l(y) = [1; y - x] at random evaluation points
         pts = rng.standard_normal((10, 4)) * 2.0
         basis = lm.build_design_matrix(make_set(pts))
-        for y in rng.standard_normal((25, 4)):
-            ell = basis.lagrange_values(y)
+        ys = rng.standard_normal((25, 4))
+        for y, ell in zip(ys, basis.stacked_lagrange().table(ys).T):
             np.testing.assert_allclose(
                 basis.matrix.T @ ell, np.concatenate([[1.0], y]), atol=1e-9
             )
@@ -118,7 +113,7 @@ class TestReproductionIdentities:
     def test_pseudoinverse_identities(self, rng):
         pts = rng.standard_normal((8, 3))
         basis = lm.build_design_matrix(make_set(pts))
-        M, pinv = basis.matrix, basis.pinv
+        M, pinv = basis.matrix, basis.lagrange_coeffs
         np.testing.assert_allclose(M @ pinv @ M, M, atol=1e-9)
         np.testing.assert_allclose(pinv @ M @ pinv, pinv, atol=1e-9)
         np.testing.assert_allclose(np.linalg.pinv(M.T), pinv.T, atol=1e-9)

@@ -11,7 +11,12 @@ from convexdfo import quadratic_models as qm
 from convexdfo import subproblems as sp
 from convexdfo.linear_models import InterpolationSet, build_design_matrix
 
-from oracles import dense_lagrange_polynomials, dense_signed_logdet, grid_lagrange_max
+from oracles import (
+    dense_lagrange_polynomials,
+    dense_signed_logdet,
+    grid_lagrange_max,
+    kkt_lagrange_values,
+)
 
 
 def make_set(points, base, radius=1.0):
@@ -266,7 +271,7 @@ class TestCheckPoisedness:
         assert cert.stats.skipped == skipped
         assert (cert.stats.iterations > 0) == (skipped < p)
         # Each reported value is |l_t| at the reported point.
-        at_best = system.lagrange_values_many(cert.best_points)[np.arange(p), np.arange(p)]
+        at_best = kkt_lagrange_values(system, cert.best_points)[np.arange(p), np.arange(p)]
         np.testing.assert_allclose(cert.per_polynomial, np.abs(at_best), rtol=1e-9)
 
     def test_regression_basis_dispatch(self, rng):
@@ -407,16 +412,13 @@ class TestImproveToPoised:
         iset = clustered_set(rng, center)
         _, _, swaps = po.improve_to_poised(iset, region, center, 1.0, 6, lam, rng=rng)
         assert len(swaps) >= 1
-        for before, after in zip(swaps, swaps[1:]):
-            gain = after.actual_det.logabs - before.actual_det.logabs
-            assert gain >= 2.0 * np.log(lam) - 1e-6
         for swap in swaps:
-            # prediction equals the refactorized determinant
-            assert swap.predicted_det.sign == swap.actual_det.sign
-            assert swap.predicted_det.logabs == pytest.approx(
-                swap.actual_det.logabs, rel=1e-7, abs=1e-7
-            )
+            # each swap, the first included, multiplies |det F| by lam^2
+            gain = swap.det_after.logabs - swap.det_before.logabs
+            assert gain >= 2.0 * np.log(lam) - 1e-6
             assert abs(swap.lagrange_value) > lam
+        for before, after in zip(swaps, swaps[1:]):
+            assert after.det_before == before.det_after
 
     def test_reinitializes_on_bad_input(self, rng):
         region = geo.Box([0.0, 0.0], [2.0, 2.0])

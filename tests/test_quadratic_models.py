@@ -11,6 +11,7 @@ from oracles import (
     dense_signed_logdet,
     full_quadratic_interpolation,
     grid_lagrange_max,
+    kkt_lagrange_values,
     min_frobenius_model,
 )
 
@@ -83,9 +84,9 @@ class TestAssembly:
         pts = rng.uniform(-0.01, 0.01, (5, 2))
         small = qm.assemble_system(make_set(pts, radius=0.01))
         plain = qm.assemble_system(make_set(pts, radius=1.0))
-        y = rng.uniform(-0.01, 0.01, 2)
+        y = rng.uniform(-0.01, 0.01, (1, 2))
         np.testing.assert_allclose(
-            small.lagrange_values(y), plain.lagrange_values(y), atol=1e-8
+            small.stacked_lagrange().table(y), plain.stacked_lagrange().table(y), atol=1e-8
         )
 
 
@@ -164,13 +165,13 @@ class TestMfnLagrange:
             n = int(rng.integers(2, 4))
             p = int(rng.integers(n + 2, qm.max_points(n) + 1))
             iset, system = random_invertible_set(rng, n, p)
-            L = system.lagrange_values_many(iset.points)
+            L = system.stacked_lagrange().table(iset.points)
             assert np.max(np.abs(L - np.eye(p))) <= 1e-8
 
     def test_linear_reproduction_identities(self, rng):
         iset, system = random_invertible_set(rng, 2, 5)
-        for y in rng.uniform(-1, 1, (50, 2)):
-            ell = system.lagrange_values(y)
+        ys = rng.uniform(-1, 1, (50, 2))
+        for y, ell in zip(ys, system.stacked_lagrange().table(ys).T):
             assert ell.sum() == pytest.approx(1.0, abs=1e-8)
             np.testing.assert_allclose(
                 ell @ (iset.points - iset.base), y - iset.base, atol=1e-8
@@ -180,24 +181,20 @@ class TestMfnLagrange:
         iset, system = random_invertible_set(rng, 2, 5)
         values = rng.standard_normal(5)
         model = qm.fit_mfn_model(system, values)
-        for y in rng.uniform(-1, 1, (20, 2)):
-            combo = values @ system.lagrange_values(y)
-            assert model.value(y) == pytest.approx(combo, abs=1e-8)
+        ys = rng.uniform(-1, 1, (20, 2))
+        for y, ell in zip(ys, kkt_lagrange_values(system, ys)):
+            assert model.value(y) == pytest.approx(values @ ell, abs=1e-8)
 
     def test_polynomial_stack_matches_factorization_route(self, rng):
         iset, system = random_invertible_set(rng, 3, 8)
         ys = rng.uniform(-1, 1, (30, 3))
         stack = system.stacked_lagrange()
+        via_phi = kkt_lagrange_values(system, ys)
+        table = stack.table(ys)
         for t in range(iset.npoints):
             row = stack.values(ys, np.full(len(ys), t))
-            via_phi = system.lagrange_values_many(ys)[:, t]
-            np.testing.assert_allclose(row, via_phi, atol=1e-9)
-            assert qm.eval_mfn_lagrange(system, t, ys[0]) == pytest.approx(row[0], abs=1e-9)
-
-    def test_index_bounds(self, rng):
-        _, system = random_invertible_set(rng, 2, 4)
-        with pytest.raises(IndexError):
-            qm.eval_mfn_lagrange(system, 4, np.zeros(2))
+            np.testing.assert_allclose(row, via_phi[:, t], atol=1e-9)
+            np.testing.assert_allclose(table[t], row, atol=1e-9)
 
 
 class TestDeterminantUpdate:
@@ -215,14 +212,15 @@ class TestDeterminantUpdate:
             iset, system = random_invertible_set(rng, n, p)
             t = int(rng.integers(p))
             y_new = rng.uniform(-1, 1, n)
-            predicted = qm.det_after_point_swap(system, t, y_new)
+            factor = qm.det_swap_factor(system, t, y_new)
             sign, logabs = dense_signed_logdet(
                 iset.replace_point(t, y_new).points, iset.base, iset.radius
             )
-            if predicted.sign == 0.0:
+            if factor == 0.0:
                 continue
-            assert predicted.sign == sign
-            assert predicted.logabs == pytest.approx(logabs, rel=1e-7, abs=1e-7)
+            assert system.det.sign * np.sign(factor) == sign
+            assert system.det.logabs + np.log(abs(factor)) == pytest.approx(
+                logabs, rel=1e-7, abs=1e-7)
 
     def test_growth_inequality(self, rng):
         for _ in range(40):
@@ -231,7 +229,7 @@ class TestDeterminantUpdate:
             iset, system = random_invertible_set(rng, n, p)
             t = int(rng.integers(p))
             y_new = rng.uniform(-1, 1, n)
-            ell = qm.eval_mfn_lagrange(system, t, y_new)
+            ell = system.stacked_lagrange().table(y_new[None])[t, 0]
             ratio = qm.det_swap_factor(system, t, y_new)
             assert abs(ratio) >= ell**2 * (1.0 - 1e-8) - 1e-12
 
@@ -247,9 +245,9 @@ class TestPoisednessTransfer:
         system = qm.assemble_system(iset)
         basis = build_design_matrix(iset)
         p = iset.npoints
-        for y in rng.uniform(-1, 1, (40, 2)):
-            ell_reg = basis.lagrange_values(y)
-            ell = system.lagrange_values(y)
+        ys = rng.uniform(-1, 1, (40, 2))
+        for ell_reg, ell in zip(basis.stacked_lagrange().table(ys).T,
+                                system.stacked_lagrange().table(ys).T):
             assert np.linalg.norm(ell_reg) <= np.linalg.norm(ell) + 1e-9
             assert np.max(np.abs(ell_reg)) <= np.sqrt(p) * np.max(np.abs(ell)) + 1e-9
 

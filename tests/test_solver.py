@@ -303,6 +303,15 @@ class TestEdgeCases:
             solve(problem.f, region, problem.x0, SolverConfig(max_evals=60, seed=0))
         assert info.value.record.status == "error"
 
+    @pytest.mark.parametrize("upper", [[1.0, 1e-3], [1.0, 1.0, 1e-3]])
+    def test_singular_geometry_raises_solver_error(self, upper):
+        # On a box this thin a repair swap leaves a singular system.
+        region = geo.Box(np.zeros(len(upper)), upper)
+        with pytest.raises(SolverError, match="singular geometry") as info:
+            solve(lambda y: float(np.sum((y - 0.3) ** 2)), region,
+                  np.full(len(upper), 5e-4), SolverConfig(seed=1, max_evals=80))
+        assert info.value.record.status == "error"
+
     def test_determinism_same_seed(self):
         _, _, x1, rec1 = run("quad2d", npoints=6, max_evals=150, seed=11)
         _, _, x2, rec2 = run("quad2d", npoints=6, max_evals=150, seed=11)
