@@ -535,8 +535,8 @@ class TrustRegionProjector:
     """Reusable projector onto ``region`` intersected with a fixed ball.
 
     Calls go through the same route as :func:`project_batch`, with the
-    ball as one more piece.  The last call's Dykstra sweep count and
-    residual are kept on the instance.
+    ball as one more piece.  The last call's Dykstra sweep count is kept
+    on the instance.
     """
 
     def __init__(self, region, center, radius):
@@ -545,10 +545,9 @@ class TrustRegionProjector:
         self.region = region
         self.ball = Ball(center, radius)
         self.last_sweeps = 0
-        self.last_residual = 0.0
 
     def __call__(self, ys):
-        out, self.last_sweeps, self.last_residual = _route(self.region, ys, self.ball)
+        out, self.last_sweeps, _ = _route(self.region, ys, self.ball)
         return out
 
 

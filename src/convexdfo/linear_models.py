@@ -13,11 +13,11 @@ with no Hessian factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadratic_models import Quadratics
+from .quadratic_models import MfnSystem, Quadratics
 
 __all__ = [
     "InterpolationSet",
@@ -37,13 +37,16 @@ class InterpolationSet:
     """Sample geometry: base point, trust-region radius, points and values.
 
     The base point need not be one of the sample points.  Instances are
-    treated as immutable; point replacement returns a new set.
+    treated as immutable; point replacement returns a new set.  ``system``
+    is the factored :class:`MfnSystem` of this geometry or None;
+    ``with_values`` keeps it, a new geometry drops it.
     """
 
     base: np.ndarray
     radius: float
     points: np.ndarray
     values: np.ndarray | None = None
+    system: MfnSystem | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=float)
@@ -86,7 +89,7 @@ class InterpolationSet:
         return InterpolationSet(self.base, self.radius, points, values)
 
     def with_values(self, values):
-        return InterpolationSet(self.base, self.radius, self.points.copy(), values)
+        return InterpolationSet(self.base, self.radius, self.points.copy(), values, self.system)
 
     def with_geometry(self, base, radius):
         """Same points, new base and radius (used when the solver recenters)."""
@@ -99,7 +102,7 @@ class InterpolationSet:
 
 @dataclass
 class RegressionBasis:
-    """Design matrix, its SVD and the regression Lagrange coefficients.
+    """Design matrix, its numerical rank and the regression Lagrange coefficients.
 
     ``lagrange_coeffs`` is the SVD pseudoinverse of the design matrix: one
     column per sample point, holding ``(c_t, g_t)`` for the t-th Lagrange
@@ -111,7 +114,6 @@ class RegressionBasis:
     radius: float
     points: np.ndarray
     matrix: np.ndarray
-    svd: tuple
     rank: int
     rank_tol: float
     lagrange_coeffs: np.ndarray
@@ -167,7 +169,6 @@ def build_design_matrix(iset, require_full_rank=True):
         radius=iset.radius,
         points=iset.points,
         matrix=M,
-        svd=(U, s, Vt),
         rank=rank,
         rank_tol=cutoff,
         lagrange_coeffs=(Vt.T * inv_s) @ U.T,

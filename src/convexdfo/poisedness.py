@@ -23,18 +23,19 @@ it: its rows are never evaluated, and it keeps its best start value.
 
 One check-then-swap loop builds and repairs every set: each round checks
 the set and replaces one point by a feasible point where that point's
-Lagrange polynomial is large.  Infeasible points go first, each for a
-point where its own polynomial is clearly nonzero, which keeps the system
-invertible.  Then, given a level Lambda, the witness point replaces its
-polynomial's point while the check finds a value above Lambda; each such
-swap multiplies |det F| by at least Lambda^2.
+Lagrange polynomial is large.  Infeasible points go first, each for the
+best point of its own polynomial.  Then, given a level Lambda, the witness
+point replaces its polynomial's point while the check finds a value above
+Lambda; each such swap multiplies |det F| by at least Lambda^2.  Each
+swapped set is factored once and carries its system; a swap that leaves
+it singular raises :class:`ThinRegionError`.
 :func:`initial_invertible_set` runs the loop with no level on a structured
 pattern, :func:`improve_to_poised` at its level on the given set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +58,6 @@ __all__ = [
 ]
 
 N_RANDOM_STARTS = 20
-# Floating-point reading of "nonzero Lagrange value" for replacements.
-REPLACEMENT_TOL = 1e-8
 GEOMETRY_SLACK = 1e-9
 
 
@@ -71,7 +70,7 @@ class PoisednessImprovementError(RuntimeError):
 
 
 class ThinRegionError(RuntimeError):
-    """No feasible point with a usable Lagrange value was found."""
+    """A repair swap left the interpolation system singular."""
 
 
 @dataclass
@@ -261,7 +260,14 @@ def structured_initial_points(x, delta, p):
     return np.array(pts)
 
 
-def _repair(work, system, region, lam, rng, cap=None):
+def _factored(iset):
+    """``iset`` carrying its system, assembled only when it has none."""
+    if iset.system is None:
+        iset = replace(iset, system=assemble_system(iset, require_invertible=False))
+    return iset
+
+
+def _repair(work, region, lam, rng, cap=None):
     """The check-then-swap loop; returns ``(set, last certificate, swap_log)``.
 
     Each round checks the set (``lam = None`` checks at ``inf``: every
@@ -273,8 +279,8 @@ def _repair(work, system, region, lam, rng, cap=None):
     ``lam``, which suffices for |det F| to grow by ``lam^2``; the last
     round finds none, so its certificate is the full sweep's.  With no
     level and no point left to swap, the loop returns without a check.
+    Each set carries its system; a singular one raises :class:`ThinRegionError`.
     """
-    x = work.base
     tried = set()
     swap_log = []
     while True:
@@ -282,16 +288,11 @@ def _repair(work, system, region, lam, rng, cap=None):
                     if t not in tried), None)
         if bad is None and lam is None:
             return work, None, swap_log
-        cert = check_poisedness(system, region, np.inf if lam is None else lam,
+        cert = check_poisedness(work.system, region, np.inf if lam is None else lam,
                                 rng=rng, early_exit=bad is None and lam is not None)
         if bad is not None:
             tried.add(bad)
-            t, y_new, value = bad, cert.best_points[bad], cert.per_polynomial[bad]
-            if value <= REPLACEMENT_TOL:
-                raise ThinRegionError(
-                    f"region too thin for invertible geometry: best |l_{t}| = {value:.3e} "
-                    f"within B(x, {min(work.radius, 1.0)}) over the feasible set"
-                )
+            t, y_new = bad, cert.best_points[bad]
         elif cert.lambda_observed <= lam:
             return work, cert, swap_log
         elif len(swap_log) >= cap:
@@ -301,28 +302,30 @@ def _repair(work, system, region, lam, rng, cap=None):
         else:
             t, y_new = cert.witness_index, cert.witness_point
         if not region.is_member(y_new):  # rounding left it just outside
-            y_new = x + shrink_into(region, x, y_new - x)
-        work = work.replace_point(t, y_new)
-        before, system = system, assemble_system(work)
+            y_new = work.base + shrink_into(region, work.base, y_new - work.base)
+        before, work = work.system, _factored(work.replace_point(t, y_new))
+        if not work.system.invertible:
+            raise ThinRegionError(f"region too thin for invertible geometry: pivot ratio "
+                                  f"{work.system.pivot_ratio:.3e} after replacing point {t}")
         if bad is None:
-            swap_log.append(SwapRecord(t, y_new, cert.lambda_observed, before.det, system.det))
+            swap_log.append(SwapRecord(t, y_new, cert.lambda_observed, before.det, work.system.det))
 
 
 def initial_invertible_set(region, x, delta, p, rng=None):
-    """Feasible interpolation set with an invertible system.
+    """Feasible interpolation set carrying its invertible system.
 
     The structured pattern goes through the repair loop with no level: each
     infeasible point is replaced by the best sweep start of its own Lagrange
-    polynomial, which must be meaningfully nonzero (above
-    ``REPLACEMENT_TOL``) and so keeps the system invertible.  A pattern with
-    no infeasible point comes back as it is, with no sweep.
+    polynomial, and a swap that leaves the system singular raises
+    :class:`ThinRegionError`.  A pattern with no infeasible point comes back
+    as it is, with no sweep.
     """
     x = np.asarray(x, dtype=float)
     if not contains(region, x):
         raise ValueError("base point must be feasible")
     iset = InterpolationSet(x, delta, structured_initial_points(x, delta, p))
     # The structured pattern is invertible by construction.
-    return _repair(iset, assemble_system(iset), region, None, _as_rng(rng))[0]
+    return _repair(replace(iset, system=assemble_system(iset)), region, None, _as_rng(rng))[0]
 
 
 def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
@@ -332,9 +335,10 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
     Rebuilds (via :func:`initial_invertible_set`) when no set is given, or
     the given one has the wrong size, a singular system or a point outside
     B(x, min(delta, 1)) (the certificate's test); an infeasible point inside
-    the ball is repaired in place.  Then runs the repair loop at ``lam``:
-    each swap of a point above ``lam`` multiplies |det F| by at least
-    ``lam^2`` and is logged with the determinants before and after it.
+    the ball is repaired in place; its system is reused at the same ``x``
+    and ``delta``.  Then runs the repair loop at ``lam``: each swap of a
+    point above ``lam`` multiplies |det F| by at least ``lam^2`` and is
+    logged with the determinants before and after it.
 
     Returns ``(set, certificate of the last check, swap_log)``.
     """
@@ -347,12 +351,11 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
 
     work = None
     if iset is not None and iset.npoints == p and iset.dimension == x.size:
-        work = InterpolationSet(x, delta, iset.points.copy())
-        system = assemble_system(work, require_invertible=False)
-        if not system.invertible or _outside_ball(work.points, x, min(delta, 1.0)):
+        same = np.array_equal(iset.base, x) and iset.radius == delta
+        work = _factored(InterpolationSet(x, delta, iset.points.copy(),
+                                          system=iset.system if same else None))
+        if not work.system.invertible or _outside_ball(work.points, x, min(delta, 1.0)):
             work = None
     if work is None:
         work = initial_invertible_set(region, x, delta, p, rng=rng)
-        system = assemble_system(work)
-    return _repair(work, system, region, lam, rng,
-                   max_swaps if max_swaps is not None else 100 * p)
+    return _repair(work, region, lam, rng, max_swaps if max_swaps is not None else 100 * p)

@@ -21,11 +21,12 @@ Lagrange value is read from that stack.
 The system is assembled in displacements divided by min(radius, 1): the
 ``Q`` block is quartic in the point radius, so the unscaled matrix is
 needlessly ill-conditioned.  Lagrange values are invariant under this
-rescaling; model coefficients are mapped back by the chain rule.
+rescaling; model coefficients are mapped back by the chain rule.  Each
+point set is factored once and carries its system (``iset.system``).
 
 Point-swap determinant identity (:func:`det_swap_factor`, for validation;
-the repair loop refactorizes): replacing the t-th point changes the t-th
-row and column of ``F`` to ``phi(y) + eta_t e_t``, with ``phi(y)`` the
+each swapped set is factored anew): replacing the t-th point changes the
+t-th row and column of ``F`` to ``phi(y) + eta_t e_t``, with ``phi(y)`` the
 scaled ``(0.5 ((y_s - x)^T (y - x))^2, 1, y - x)``, and for a symmetric
 invertible matrix such an update multiplies the determinant by
 ``l_t(y)^2 + alpha_t beta_t`` with ``alpha_t = e_t^T F^{-1} e_t`` and
@@ -199,9 +200,6 @@ class MfnSystem:
     points: np.ndarray
     scale: float
     Z: np.ndarray          # scaled displacements, one row per point
-    Q: np.ndarray
-    M: np.ndarray
-    F: np.ndarray
     lu: tuple | None
     det: SignedLogDet
     pivot_ratio: float
@@ -242,10 +240,10 @@ def assemble_system(iset, require_invertible=True):
     """Build and factorize the bordered system for an interpolation set.
 
     Requires n+2 <= p <= (n+1)(n+2)/2.  The factorization is a dense LU
-    with partial pivoting, redone from scratch for each point set; at these
-    sizes that is cheap and robust.  With ``require_invertible`` a singular
-    system raises :class:`SingularGeometryError`; otherwise it is returned
-    with ``invertible=False`` for the caller to repair.
+    with partial pivoting, done once per point set, which then carries it;
+    at these sizes that is cheap and robust.  With ``require_invertible`` a
+    singular system raises :class:`SingularGeometryError`; otherwise it is
+    returned with ``invertible=False`` for the caller to repair.
     """
     p, n = iset.npoints, iset.dimension
     if not (n + 2 <= p <= max_points(n)):
@@ -254,13 +252,11 @@ def assemble_system(iset, require_invertible=True):
         )
     scale = iset.scale
     Z = (iset.points - iset.base) / scale
-    G = Z @ Z.T
-    Q = 0.5 * G**2
-    M = np.column_stack([np.ones(p), Z])
     F = np.zeros((p + n + 1, p + n + 1))
-    F[:p, :p] = Q
-    F[:p, p:] = M
-    F[p:, :p] = M.T
+    F[:p, :p] = 0.5 * (Z @ Z.T) ** 2
+    F[:p, p] = F[p, :p] = 1.0
+    F[:p, p + 1:] = Z
+    F[p + 1:, :p] = Z.T
 
     lu = piv = None
     try:
@@ -288,9 +284,6 @@ def assemble_system(iset, require_invertible=True):
         points=iset.points,
         scale=scale,
         Z=Z,
-        Q=Q,
-        M=M,
-        F=F,
         lu=(lu, piv) if lu is not None else None,
         det=det,
         pivot_ratio=pivot_ratio,

@@ -30,13 +30,15 @@ accuracy bound takes.
 The point set carries its own values and is the solver's only store of
 evaluations: a repaired set takes each value it can from the set it
 replaces or from the iterate, so ``f`` is never called again at the
-iterate or at a point the set keeps.
+iterate or at a point the set keeps.  It also carries its factored
+interpolation system, so each set is factored once: by the repair, or
+here after a step's swap or a recentring.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,9 +167,9 @@ class IterationRow:
 class RunRecord:
     """Per-iteration trace plus terminal status of one solve.
 
-    ``final_set`` is the last complete interpolation set, with its values,
-    at termination or failure (for export and inspection); ``final_values``
-    reads its values.  Neither appears in the CSV.
+    ``final_set`` is the last complete interpolation set, with its values
+    but not its system, at termination or failure (for export and
+    inspection); ``final_values`` reads its values.  Neither is in the CSV.
     """
 
     rows: list = field(default_factory=list)
@@ -259,21 +261,18 @@ def _swap_farthest(iset, center, trial, f_trial):
 
 
 def _build_model(iset, model_kind):
-    """Model of ``iset.values`` plus its interpolation system; None system when degenerate."""
+    """Model of ``iset.values`` (None when degenerate) and ``iset`` carrying
+    its interpolation system, assembled only when it has none."""
+    if iset.system is None:
+        iset = replace(iset, system=assemble_system(iset, require_invertible=False))
+    if not iset.system.invertible:
+        return None, iset
     if model_kind == "mfn-quadratic":
-        system = assemble_system(iset, require_invertible=False)
-        if not system.invertible:
-            return None, None
-        return fit_mfn_model(system, iset.values), system
-    basis = build_design_matrix(iset, require_full_rank=False)
-    if not basis.full_rank:
-        return None, None
+        return fit_mfn_model(iset.system, iset.values), iset
     # Geometry certification runs on the quadratic system, at its level
-    # rather than the regression polynomials' level, so assemble it alongside.
-    system = assemble_system(iset, require_invertible=False)
-    if not system.invertible:
-        return None, None
-    return fit_regression_model(basis, iset.values), system
+    # rather than the regression polynomials' level, so it is kept alongside.
+    basis = build_design_matrix(iset, require_full_rank=False)
+    return (fit_regression_model(basis, iset.values) if basis.full_rank else None), iset
 
 
 def solve(f, region, x0, config=None):
@@ -328,18 +327,18 @@ def solve(f, region, x0, config=None):
                 record.status = "radius_min"
                 break
 
-            model, system = _build_model(iset, config.model_kind)
+            model, iset = _build_model(iset, config.model_kind)
             if model is None:
                 # Degenerate geometry slipped in; rebuild before modelling.
                 iset, cert = repair(iset, iset.radius)
-                model, system = _build_model(iset, config.model_kind)
+                model, iset = _build_model(iset, config.model_kind)
                 if model is None:
                     raise SolverError("geometry repair failed to restore invertibility", record)
 
             f_at_k, delta_at_k = fx, delta
             pi_m = criticality_measure(model.grad(x), x, region, 1.0).value
             if cert is None:
-                cert = check_poisedness(system, region, lam, beta=1.0, rng=rng)
+                cert = check_poisedness(iset.system, region, lam, beta=1.0, rng=rng)
             fully_linear = bool(cert.verified)
 
             if pi_m < config.eps_criticality and (
@@ -395,5 +394,5 @@ def solve(f, region, x0, config=None):
         raise SolverError(str(exc), record) from (exc.__cause__ or exc)
     finally:
         # The last set whose values all exist, also when the run fails.
-        record.final_set = iset
+        record.final_set = iset if iset is None else replace(iset, system=None)
     return x, record

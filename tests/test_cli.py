@@ -242,8 +242,8 @@ class TestCliPoisedness:
         assert code == 2
 
     def test_singular_geometry_exits_2(self, tmp_path, capsys):
-        # Points outside the ball force a rebuild, which leaves a singular
-        # system on this thin box.
+        # Points outside the ball force a rebuild, whose repair swap leaves a
+        # singular system on this thin box: the region is too thin.
         x = np.array([5e-4, 5e-4])
         far = x + 2.0 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0]])
         path = tmp_path / "far.json"
@@ -254,7 +254,7 @@ class TestCliPoisedness:
             "--seed", "1", "--out", str(tmp_path / "out.json"),
         ])
         assert code == 2
-        assert "singular geometry" in capsys.readouterr().err
+        assert "too thin" in capsys.readouterr().err
 
     def test_improve_requires_out(self, cluster_file):
         assert main([

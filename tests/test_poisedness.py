@@ -10,6 +10,7 @@ from convexdfo import poisedness as po
 from convexdfo import quadratic_models as qm
 from convexdfo import subproblems as sp
 from convexdfo.linear_models import InterpolationSet, build_design_matrix
+from convexdfo.solver import SolverConfig, SolverError, solve
 
 from oracles import (
     dense_lagrange_polynomials,
@@ -548,3 +549,102 @@ class TestImproveToPoised:
         assert swaps == []
         np.testing.assert_array_equal(got.points, iset.points)
         assert cert.verified
+
+
+def assert_carries_own_system(iset, required=True):
+    """``iset.system`` is None (when not ``required``) or, bit for bit, the
+    system a fresh assembly of the set gives."""
+    if iset.system is None:
+        assert not required
+        return
+    fresh = qm.assemble_system(iset, require_invertible=False)
+    assert iset.system.radius == iset.radius
+    np.testing.assert_array_equal(iset.system.base, iset.base)
+    np.testing.assert_array_equal(iset.system.Z, fresh.Z)
+    np.testing.assert_array_equal(iset.system.lagrange_solutions, fresh.lagrange_solutions)
+    assert iset.system.det == fresh.det
+
+
+def random_region(kind, n, rng):
+    """A random box, ball or simplex and a feasible point of it."""
+    if kind == "simplex":
+        region = geo.Halfspaces(np.vstack([-np.eye(n), np.ones(n)]),
+                                np.r_[np.zeros(n), 1.0])
+        return region, 0.9 * rng.dirichlet(np.ones(n + 1))[:n]
+    centre = rng.standard_normal(n)
+    if kind == "box":
+        half = 0.2 + rng.random(n)
+        return geo.Box(centre - half, centre + half), centre + half * rng.uniform(-1, 1, n)
+    radius = 0.2 + rng.random()
+    u = rng.standard_normal(n)
+    return geo.Ball(centre, radius), centre + radius * rng.random() * u / np.linalg.norm(u)
+
+
+class TestCarriedSystem:
+    """A set carries the factored system of its own geometry, or none."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["box", "ball", "simplex"]), n=st.integers(1, 3),
+           delta=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_returned_sets_carry_their_own_system(self, kind, n, delta, seed):
+        rng = np.random.default_rng(seed)
+        region, x = random_region(kind, n, rng)
+        p = int(rng.integers(n + 2, qm.max_points(n) + 1))
+        first = po.initial_invertible_set(region, x, delta, p, rng=rng)
+        assert_carries_own_system(first)
+        clustered = clustered_set(rng, x, p=p, spread=0.01 * delta, radius=delta)
+        for given_set, radius in [(None, delta), (first, delta), (first, 0.5 * delta),
+                                  (clustered, delta)]:
+            got, _, _ = po.improve_to_poised(given_set, region, x, radius, p, 10.0, rng=rng)
+            assert_carries_own_system(got)
+        target = x + rng.standard_normal(n)
+        try:
+            _, record = solve(lambda y: float(np.sum((y - target) ** 2)), region, x,
+                              SolverConfig(delta0=delta, npoints=p, max_evals=40, seed=seed))
+        except SolverError as exc:  # the final set is kept on failure too
+            record = exc.record
+        assert_carries_own_system(record.final_set, required=False)
+
+    def test_values_keep_the_system_and_geometry_drops_it(self):
+        region = geo.Box([0.0, 0.0], [2.0, 2.0])
+        x = np.array([0.5, 0.5])
+        iset = po.initial_invertible_set(region, x, 1.0, 6, rng=0)
+        assert iset.system is not None
+        assert iset.with_values(np.arange(6.0)).system is iset.system
+        assert iset.replace_point(3, np.array([0.6, 0.7])).system is None
+        assert iset.with_geometry(x, 0.5).system is None
+
+    @pytest.mark.parametrize("region,x,lam", [
+        (geo.Box([0.0, 0.0], [2.0, 2.0]), [0.0, 0.0], 1.5),      # infeasible swaps
+        (geo.WholeSpace(2), [0.0, 0.0], 1.2),                     # level swaps
+        (geo.Box([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]), [0.0, 0.0, 0.3], 1.5),
+    ])
+    def test_each_set_is_assembled_once(self, region, x, lam, monkeypatch):
+        # A rebuild factors its pattern and each swapped set once; an
+        # improvement of a set that carries its system and is already
+        # poised factors nothing.
+        x = np.asarray(x)
+        p = 2 * x.size + 2
+        assembled, swapped = [], []
+        assemble, replace_point = po.assemble_system, InterpolationSet.replace_point
+        monkeypatch.setattr(po, "assemble_system",
+                            lambda *a, **k: assembled.append(1) or assemble(*a, **k))
+        monkeypatch.setattr(InterpolationSet, "replace_point",
+                            lambda *a, **k: swapped.append(1) or replace_point(*a, **k))
+        rebuilt, _, _ = po.improve_to_poised(None, region, x, 1.0, p, lam, rng=0)
+        assert len(swapped) >= 1
+        assert len(assembled) == 1 + len(swapped)
+        assembled.clear()
+        again, cert, swaps = po.improve_to_poised(rebuilt, region, x, 1.0, p, lam, rng=0)
+        assert cert.verified and swaps == []
+        assert assembled == []
+        assert again.system is rebuilt.system
+
+    def test_thin_region_raises(self):
+        # Points outside the ball force a rebuild on a box 1e-3 thin: a
+        # swap leaves the system singular by the relative pivot test.
+        x = np.array([5e-4, 5e-4])
+        far = make_set(x + 2.0 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0]]), x)
+        region = geo.Box([0.0, 0.0], [1.0, 1e-3])
+        with pytest.raises(po.ThinRegionError, match="too thin.*pivot ratio"):
+            po.improve_to_poised(far, region, x, 1.0, 5, 10.0, rng=1)

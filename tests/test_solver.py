@@ -305,11 +305,13 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("upper", [[1.0, 1e-3], [1.0, 1.0, 1e-3]])
     def test_singular_geometry_raises_solver_error(self, upper):
-        # On a box this thin a repair swap leaves a singular system.
+        # On a box this thin a repair swap leaves a singular system: the
+        # region is too thin for invertible geometry.
         region = geo.Box(np.zeros(len(upper)), upper)
-        with pytest.raises(SolverError, match="singular geometry") as info:
+        with pytest.raises(SolverError, match="too thin") as info:
             solve(lambda y: float(np.sum((y - 0.3) ** 2)), region,
                   np.full(len(upper), 5e-4), SolverConfig(seed=1, max_evals=80))
+        assert isinstance(info.value.__cause__, po.ThinRegionError)
         assert info.value.record.status == "error"
 
     def test_determinism_same_seed(self):
