@@ -102,20 +102,20 @@ class InterpolationSet:
 
 @dataclass
 class RegressionBasis:
-    """Design matrix, its numerical rank and the regression Lagrange coefficients.
+    """Numerical rank of the design matrix and the regression Lagrange coefficients.
 
     ``lagrange_coeffs`` is the SVD pseudoinverse of the design matrix: one
     column per sample point, holding ``(c_t, g_t)`` for the t-th Lagrange
     polynomial (the pseudoinverse applied to the t-th standard basis
-    vector).
+    vector).  A basis is also an interpolation system for
+    :func:`~convexdfo.poisedness.check_poisedness`, which certifies a set
+    on these polynomials.
     """
 
     base: np.ndarray
     radius: float
     points: np.ndarray
-    matrix: np.ndarray
     rank: int
-    rank_tol: float
     lagrange_coeffs: np.ndarray
 
     @property
@@ -168,9 +168,7 @@ def build_design_matrix(iset, require_full_rank=True):
         base=iset.base,
         radius=iset.radius,
         points=iset.points,
-        matrix=M,
         rank=rank,
-        rank_tol=cutoff,
         lagrange_coeffs=(Vt.T * inv_s) @ U.T,
     )
 

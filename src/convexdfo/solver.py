@@ -7,32 +7,39 @@ first cutting the radius of a fully linear model straight to ``mu * pi_m``
 (clamped between one ``gamma_dec`` step and a fixed fraction of the
 radius) so that one rebuild serves a whole criticality phase, or (b) takes
 a trust-region step and accepts or rejects it by the
-actual-versus-predicted reduction ratio.  Model accuracy ("fully linear"
-here) is operationalized as the poisedness certificate on the point set's
-own sampling radius ``r`` (``InterpolationSet.radius``): the set is poised
-at the configured level on the feasible part of B(x, min(r, 1)), with
-every point inside that ball.  An unsuccessful step cuts ``delta`` but
-leaves a set with ``delta <= r <= delta / gamma_dec`` in place, and swaps
-in only the trial point; at any other cut, and after successful and
-criticality rows, ``r`` becomes ``delta``.  So ``r`` is always within one
-cut of ``delta``, and the accuracy constants of a set poised on B(x, r)
-(errors ``kappa_ef * r^2`` and ``kappa_eg * r``) give a model fully linear
-on B(x, delta) with ``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
+actual-versus-predicted reduction ratio.  A successful step grows
+``delta`` to ``gamma_inc * ||s||`` when that is larger, never past
+``delta_max``.  Model accuracy ("fully linear" here) is operationalized as
+the poisedness certificate on the point set's own sampling radius ``r``
+(``InterpolationSet.radius``): the set is poised at the configured level
+on the feasible part of B(x, min(r, 1)), with every point inside that
+ball.  A set is kept with ``delta <= r <= delta / gamma_dec``: an
+unsuccessful step cuts ``delta`` but leaves in place a set whose ``r`` was
+``delta`` before the cut, and after a successful step the set, recentred
+on the new iterate, keeps the smallest such ``r`` that holds all its
+points.  Both swap in only the trial point.  At any other cut, after a
+successful step whose set fits no such ``r``, and after criticality rows,
+``r`` becomes ``delta``.  So ``r`` is always within one cut of ``delta``, and the
+accuracy constants of a set poised on B(x, r) (errors ``kappa_ef * r^2``
+and ``kappa_eg * r``) give a model fully linear on B(x, delta) with
+``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
 
 Models come in two kinds: linear regression on the sample set, or
 minimum-Frobenius-norm quadratic interpolation.  Both share the same
-geometry maintenance: point sets are constructed, repaired and certified
-through the quadratic interpolation system.  A regression run is thus
-certified at the level of the quadratic Lagrange polynomials, not at that
-of its own regression Lagrange polynomials, which the paper's regression
-accuracy bound takes.
+geometry construction and repair through the quadratic interpolation
+system.  Each kind is certified on its own Lagrange polynomials, as the
+paper's accuracy bounds take them: an MFN set on its quadratic system, a
+regression set on its regression basis.  A regression row assembles no
+quadratic system.  A repaired regression set that the repair at level
+Lambda leaves above Lambda is repaired again at Lambda / sqrt(p), which
+bounds its regression level by Lambda.
 
 The point set carries its own values and is the solver's only store of
 evaluations: a repaired set takes each value it can from the set it
 replaces or from the iterate, so ``f`` is never called again at the
-iterate or at a point the set keeps.  It also carries its factored
-interpolation system, so each set is factored once: by the repair, or
-here after a step's swap or a recentring.
+iterate or at a point the set keeps.  In an MFN run it also carries its
+factored interpolation system, so each set is factored once: by the
+repair, or here after a step's swap or a recentring.
 """
 
 from __future__ import annotations
@@ -97,11 +104,14 @@ class SolverConfig:
 
     ``npoints`` defaults to 2n+1 (capped to the admissible range) at solve
     time.  ``poisedness`` is the geometry level Lambda used both to certify
-    and to repair point sets; ``eps_criticality`` and ``mu`` gate the
-    criticality step, and ``mu * pi_m`` is also the radius that step cuts
-    a fully linear model's trust region to (clamped between one
-    ``gamma_dec`` step and a fixed fraction of the radius); ``eta`` is the
-    acceptance threshold.
+    and to repair point sets, on the Lagrange polynomials of the model
+    kind; a linear-regression run needs Lambda > sqrt(npoints), since its
+    fallback repair runs at Lambda / sqrt(npoints).  ``eps_criticality``
+    and ``mu`` gate the criticality step, and ``mu * pi_m`` is also the
+    radius that step cuts a fully linear model's trust region to (clamped
+    between one ``gamma_dec`` step and a fixed fraction of the radius);
+    ``eta`` is the acceptance threshold.  A successful step sets ``delta``
+    to ``min(max(delta, gamma_inc * ||s||), delta_max)``.
     """
 
     delta0: float = 1.0
@@ -146,6 +156,9 @@ class SolverConfig:
             raise ValueError(
                 f"npoints={self.npoints} outside [{n + 2}, {max_points(n)}] for n={n}"
             )
+        if self.model_kind == "linear-regression" and not self.poisedness / np.sqrt(p) > 1.0:
+            raise ValueError(f"a linear-regression run needs poisedness > sqrt(npoints) "
+                             f"= {np.sqrt(p):.6g}")
         return p
 
 
@@ -260,19 +273,43 @@ def _swap_farthest(iset, center, trial, f_trial):
     return iset.replace_point(far, trial, f_trial)
 
 
+def _recentred_radius(points, centre, delta, gamma_dec):
+    """Smallest r in [delta, delta / gamma_dec] with every point in
+    B(centre, min(r, 1)); ``delta`` when there is none."""
+    reach = float(np.max(np.linalg.norm(points - centre, axis=1)))
+    return reach if delta < reach <= 1.0 and gamma_dec * reach <= delta else delta
+
+
+def _repaired(old, region, x, radius, p, lam, rng, model_kind):
+    """``old`` repaired on B(x, min(radius, 1)) at level ``lam``, without
+    new values, and the certificate of the model kind.
+
+    The MFN repair loop builds every set.  A regression set is then
+    certified on its own basis; one the loop leaves above ``lam`` is
+    repaired again at ``lam / sqrt(p)``, which bounds its regression level
+    by ``lam``: at every point the regression Lagrange values have at most
+    the 2-norm of the MFN ones.
+    """
+    new, cert, _ = improve_to_poised(old, region, x, radius, p, lam, rng=rng)
+    if model_kind == "linear-regression":
+        cert = check_poisedness(build_design_matrix(new), region, lam, rng=rng)
+        if not cert.verified:
+            new, _, _ = improve_to_poised(new, region, x, radius, p, lam / np.sqrt(p), rng=rng)
+            cert = check_poisedness(build_design_matrix(new), region, lam, rng=rng)
+    return new, cert
+
+
 def _build_model(iset, model_kind):
-    """Model of ``iset.values`` (None when degenerate) and ``iset`` carrying
-    its interpolation system, assembled only when it has none."""
-    if iset.system is None:
-        iset = replace(iset, system=assemble_system(iset, require_invertible=False))
-    if not iset.system.invertible:
-        return None, iset
-    if model_kind == "mfn-quadratic":
-        return fit_mfn_model(iset.system, iset.values), iset
-    # Geometry certification runs on the quadratic system, at its level
-    # rather than the regression polynomials' level, so it is kept alongside.
-    basis = build_design_matrix(iset, require_full_rank=False)
-    return (fit_regression_model(basis, iset.values) if basis.full_rank else None), iset
+    """Model of ``iset.values`` (None when degenerate) and the system that
+    certifies it: the set's MFN system, assembled only when it has none, or
+    its regression basis."""
+    if model_kind == "linear-regression":
+        basis = build_design_matrix(iset, require_full_rank=False)
+        return (fit_regression_model(basis, iset.values) if basis.full_rank else None), basis
+    system = iset.system
+    if system is None:
+        system = assemble_system(iset, require_invertible=False)
+    return (fit_mfn_model(system, iset.values) if system.invertible else None), system
 
 
 def solve(f, region, x0, config=None):
@@ -311,11 +348,17 @@ def solve(f, region, x0, config=None):
     delta = config.delta0
 
     def repair(old, radius):
-        # Repair on B(x, min(radius, 1)).  The set comes back only once all
-        # its values exist; the certificate stands for it until a step
-        # replaces it.
-        new, cert, _ = improve_to_poised(old, region, x, radius, p, lam, rng=rng)
+        # The set comes back only once all its values exist; the certificate
+        # stands for it until a step replaces it.
+        new, cert = _repaired(old, region, x, radius, p, lam, rng, config.model_kind)
         return _with_values(oracle, new, old, x, fx), cert
+
+    def build(iset):
+        # An MFN set carries its system, so the next repair reuses it.
+        model, system = _build_model(iset, config.model_kind)
+        if config.model_kind == "mfn-quadratic":
+            iset = replace(iset, system=system)
+        return model, system, iset
 
     iset = None
     try:
@@ -327,18 +370,18 @@ def solve(f, region, x0, config=None):
                 record.status = "radius_min"
                 break
 
-            model, iset = _build_model(iset, config.model_kind)
+            model, system, iset = build(iset)
             if model is None:
                 # Degenerate geometry slipped in; rebuild before modelling.
                 iset, cert = repair(iset, iset.radius)
-                model, iset = _build_model(iset, config.model_kind)
+                model, system, iset = build(iset)
                 if model is None:
                     raise SolverError("geometry repair failed to restore invertibility", record)
 
             f_at_k, delta_at_k = fx, delta
             pi_m = criticality_measure(model.grad(x), x, region, 1.0).value
             if cert is None:
-                cert = check_poisedness(iset.system, region, lam, beta=1.0, rng=rng)
+                cert = check_poisedness(system, region, lam, beta=1.0, rng=rng)
             fully_linear = bool(cert.verified)
 
             if pi_m < config.eps_criticality and (
@@ -364,8 +407,14 @@ def solve(f, region, x0, config=None):
 
             if rho is not None and rho >= config.eta:
                 step_kind = "successful"
-                delta = min(config.gamma_inc * delta, config.delta_max)
-                iset = _swap_farthest(iset.with_geometry(trial, delta), trial, trial, f_trial)
+                # Delta never shrinks here and grows only as far as
+                # gamma_inc * ||s||; the set keeps the smallest radius
+                # within one cut of delta that holds it.
+                delta = min(max(delta, config.gamma_inc * float(np.linalg.norm(trial - x))),
+                            config.delta_max)
+                iset = _swap_farthest(iset, trial, trial, f_trial)
+                iset = iset.with_geometry(
+                    trial, _recentred_radius(iset.points, trial, delta, config.gamma_dec))
                 x, fx = trial, f_trial
                 cert = None
             elif not fully_linear:

@@ -7,6 +7,21 @@ plain loops, dense grids with local refinement, numpy lstsq/slogdet.
 import numpy as np
 
 
+def successful_step_lengths(record, evaluated):
+    """||s|| of every successful row, by row ``k``, from the evaluation log.
+
+    The start is evaluation 0; a successful row's trial is evaluation
+    ``row.evals - 1`` and becomes the iterate of the rows after it.
+    """
+    x, lengths = evaluated[0], {}
+    for row in record.rows:
+        if row.step_kind == "successful":
+            trial = evaluated[row.evals - 1]
+            lengths[row.k] = float(np.linalg.norm(trial - x))
+            x = trial
+    return lengths
+
+
 def grid_project(region, y, lo, hi, levels=16, base_cells=81, zoom=3.0):
     """Projection oracle: dense grid over [lo, hi]^n with nested refinement.
 
@@ -136,15 +151,38 @@ def kkt_lagrange_values(system, ys):
     return phi @ system.lagrange_solutions
 
 
+def design_matrix(points, base):
+    """Regression design matrix with rows ``[1, (y_t - base)^T]`` (plain loop)."""
+    base = np.asarray(base, dtype=float)
+    return np.array([[1.0, *(np.asarray(y, dtype=float) - base)] for y in points])
+
+
+def regression_lagrange_values(points, base, ys):
+    """All p regression Lagrange values at each row of ``ys``, shape (len(ys), p).
+
+    ``l(y) = pinv(M)^T [1; y - base]`` with numpy's own pseudoinverse of
+    the design matrix ``M``.
+    """
+    D = np.atleast_2d(np.asarray(ys, dtype=float)) - np.asarray(base, dtype=float)
+    return np.column_stack([np.ones(len(D)), D]) @ np.linalg.pinv(design_matrix(points, base))
+
+
 def grid_lagrange_max(system, region, x, r, step=1.5e-3, refine=0):
     """Dense-grid maxima of all |l_t| over B(x, r) and the region (n = 2).
 
-    With ``refine`` > 0, zooms in around each polynomial's coarse argmax
-    that many times (factor 50 per level), pushing the one-sided grid
+    ``system`` is an interpolation system or a regression basis.  With
+    ``refine`` > 0, zooms in around each polynomial's coarse argmax that
+    many times (factor 50 per level), pushing the one-sided grid
     granularity error far below the coarse step.
     """
     x = np.asarray(x, dtype=float)
     p = system.npoints
+    if hasattr(system, "lagrange_solutions"):
+        def lagrange_values(pts):
+            return kkt_lagrange_values(system, pts)
+    else:
+        def lagrange_values(pts):
+            return regression_lagrange_values(system.points, system.base, pts)
 
     def scan(lo0, hi0, lo1, hi1, cell):
         xs = np.arange(lo0, hi0 + cell, cell)
@@ -161,7 +199,7 @@ def grid_lagrange_max(system, region, x, r, step=1.5e-3, refine=0):
             pts = pts[region.is_member_batch(pts)]
             if len(pts) == 0:
                 continue
-            vals = np.abs(kkt_lagrange_values(system, pts))
+            vals = np.abs(lagrange_values(pts))
             rows = vals.argmax(axis=0)
             chunk_best = vals[rows, np.arange(p)]
             better = chunk_best > best

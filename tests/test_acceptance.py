@@ -26,6 +26,7 @@ from oracles import (
     full_quadratic_interpolation,
     grid_criticality,
     grid_lagrange_max,
+    successful_step_lengths,
 )
 
 
@@ -345,9 +346,12 @@ def _check_run_discipline(problem, record, config, evaluated):
         assert problem.region.is_member(y), "infeasible evaluation"
     fs = [row.f for row in record.rows]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:])), "f not monotone"
+    steps = successful_step_lengths(record, evaluated)
     for row, nxt in zip(record.rows, record.rows[1:]):
         if row.step_kind == "successful":
-            assert nxt.delta == min(config.gamma_inc * row.delta, config.delta_max)
+            # Delta grows to gamma_inc * ||s|| when that is larger.
+            assert nxt.delta == min(max(row.delta, config.gamma_inc * steps[row.k]),
+                                    config.delta_max)
         elif row.step_kind == "unsuccessful":
             assert nxt.delta == config.gamma_dec * row.delta
         elif row.step_kind == "model-improving":

@@ -197,6 +197,14 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "npoints=100" in err
 
+    def test_regression_level_not_above_sqrt_points_exits_2(self, tmp_path, capsys):
+        # A regression run's fallback repair runs at poisedness / sqrt(npoints).
+        code = main(["solve", "--problem", "quad2d", "--model", "linreg", "--points", "6",
+                     "--lambda", "2", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sqrt(npoints)" in err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = quad2d\nwarp_speed = 9\n")

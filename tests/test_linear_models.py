@@ -7,6 +7,8 @@ from convexdfo import linear_models as lm
 from convexdfo import poisedness
 from convexdfo import quadratic_models as qm
 
+from oracles import design_matrix
+
 
 def make_set(points, base=None, radius=1.0, values=None):
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -16,8 +18,11 @@ def make_set(points, base=None, radius=1.0, values=None):
 
 class TestDesignMatrix:
     def test_square_case_rows_and_rank(self):
-        basis = lm.build_design_matrix(make_set([[0.0], [1.0]]))
-        np.testing.assert_array_equal(basis.matrix, [[1.0, 0.0], [1.0, 1.0]])
+        iset = make_set([[0.0], [1.0]])
+        basis = lm.build_design_matrix(iset)
+        M = design_matrix(iset.points, iset.base)
+        np.testing.assert_array_equal(M, [[1.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_allclose(basis.lagrange_coeffs @ M, np.eye(2), atol=1e-12)
         assert basis.rank == 2 and basis.full_rank
 
     def test_overdetermined_affine_recovery(self):
@@ -33,11 +38,18 @@ class TestDesignMatrix:
         basis = lm.build_design_matrix(iset, require_full_rank=False)
         assert basis.rank == 2 and not basis.full_rank
 
-    def test_rank_cutoff_convention(self, rng):
-        iset = make_set(rng.standard_normal((7, 3)))
-        basis = lm.build_design_matrix(iset)
-        _, s, _ = np.linalg.svd(basis.matrix, full_matrices=False)
-        assert basis.rank_tol == pytest.approx(7 * np.finfo(float).eps * s[0])
+    @pytest.mark.parametrize("factor, rank", [(0.5, 3), (2.0, 4)])
+    def test_rank_cutoff_convention(self, rng, factor, rank):
+        # Centred orthonormal displacement columns scaled by (1, 1, c): the
+        # design matrix has singular values sqrt(7), 1, 1 and c.  Those at
+        # most 7 * eps * sigma_max do not count towards the rank.
+        A = rng.standard_normal((7, 3))
+        Q, _ = np.linalg.qr(A - A.mean(axis=0))
+        _, s, _ = np.linalg.svd(design_matrix(Q, np.zeros(3)), full_matrices=False)
+        cutoff = 7 * np.finfo(float).eps * s[0]
+        iset = make_set(Q * [1.0, 1.0, factor * cutoff])
+        basis = lm.build_design_matrix(iset, require_full_rank=False)
+        assert basis.rank == rank and basis.full_rank == (rank == 4)
 
 
 class TestRegressionFit:
@@ -104,16 +116,17 @@ class TestReproductionIdentities:
         # M^T l(y) = [1; y - x] at random evaluation points
         pts = rng.standard_normal((10, 4)) * 2.0
         basis = lm.build_design_matrix(make_set(pts))
+        M = design_matrix(pts, np.zeros(4))
         ys = rng.standard_normal((25, 4))
         for y, ell in zip(ys, basis.stacked_lagrange().table(ys).T):
             np.testing.assert_allclose(
-                basis.matrix.T @ ell, np.concatenate([[1.0], y]), atol=1e-9
+                M.T @ ell, np.concatenate([[1.0], y]), atol=1e-9
             )
 
     def test_pseudoinverse_identities(self, rng):
         pts = rng.standard_normal((8, 3))
         basis = lm.build_design_matrix(make_set(pts))
-        M, pinv = basis.matrix, basis.lagrange_coeffs
+        M, pinv = design_matrix(pts, np.zeros(3)), basis.lagrange_coeffs
         np.testing.assert_allclose(M @ pinv @ M, M, atol=1e-9)
         np.testing.assert_allclose(pinv @ M @ pinv, pinv, atol=1e-9)
         np.testing.assert_allclose(np.linalg.pinv(M.T), pinv.T, atol=1e-9)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from convexdfo import geometry as geo
 from convexdfo import poisedness as po
 from convexdfo import quadratic_models as qm
+from convexdfo import solver as sv
 from convexdfo import subproblems as sp
 from convexdfo.linear_models import InterpolationSet, build_design_matrix
 from convexdfo.solver import SolverConfig, SolverError, solve
@@ -17,6 +18,7 @@ from oracles import (
     dense_signed_logdet,
     grid_lagrange_max,
     kkt_lagrange_values,
+    regression_lagrange_values,
 )
 
 
@@ -70,6 +72,27 @@ def lagrange_maxima(system, region, rng):
     return cert.per_polynomial, cert.best_points
 
 
+PLANAR_REGIONS = {
+    "box": (geo.Box([-1.0, -1.0], [1.0, 1.0]), -1.0, 1.0),
+    "ball": (geo.Ball([0.0, 0.0], 1.0), -1.0, 1.0),
+    "simplex": (geo.Halfspaces([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                               [0.5, 0.5, 1.0]), -0.5, 1.5),
+    "lens": (geo.Intersection([geo.Ball([0.0, 0.0], 1.0),
+                               geo.Ball([0.5, 0.0], 1.0)]), -0.5, 1.0),
+    "box-ball": (geo.Intersection([geo.Box([-0.5, -0.5], [1.0, 1.0]),
+                                   geo.Ball([0.0, 0.0], 1.2)]), -0.5, 1.0),
+}
+
+
+def planar_instance(kind, rng):
+    """A region of ``PLANAR_REGIONS`` and a random member of it."""
+    region, lo, hi = PLANAR_REGIONS[kind]
+    x = rng.uniform(lo, hi, 2)
+    while not region.is_member(x):
+        x = rng.uniform(lo, hi, 2)
+    return region, x
+
+
 class TestMaximizeAbsLagrange:
     """Per-polynomial maxima of |l_t| from the full sweep."""
 
@@ -111,19 +134,8 @@ class TestMaximizeAbsLagrange:
         # Each maximum must be found at least as well as the refined grid
         # finds it, and may exceed the grid's only by the grid's own
         # shortfall, which is largest along curved boundaries.
-        region, lo, hi = {
-            "ball": (geo.Ball([0.0, 0.0], 1.0), -1.0, 1.0),
-            "simplex": (geo.Halfspaces([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
-                                       [0.5, 0.5, 1.0]), -0.5, 1.5),
-            "lens": (geo.Intersection([geo.Ball([0.0, 0.0], 1.0),
-                                       geo.Ball([0.5, 0.0], 1.0)]), -0.5, 1.0),
-            "box-ball": (geo.Intersection([geo.Box([-0.5, -0.5], [1.0, 1.0]),
-                                           geo.Ball([0.0, 0.0], 1.2)]), -0.5, 1.0),
-        }[kind]
         rng = np.random.default_rng(seed)
-        x = rng.uniform(lo, hi, 2)
-        while not region.is_member(x):
-            x = rng.uniform(lo, hi, 2)
+        region, x = planar_instance(kind, rng)
         iset = po.initial_invertible_set(region, x, 0.8, 6, rng=rng)
         system = qm.assemble_system(iset)
         grid = grid_lagrange_max(system, region, x, 0.8, refine=2)
@@ -288,6 +300,91 @@ class TestCheckPoisedness:
         cert2 = po.check_poisedness(degenerate, region, 10.0, rng=rng)
         assert not cert2.verified
         assert cert2.reason == "singular interpolation system"
+
+
+class TestRegressionCertificate:
+    """A regression basis is certified on its own affine Lagrange polynomials."""
+
+    @pytest.mark.parametrize("kind", ["box", "ball", "simplex", "lens"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_grid_oracle(self, kind, seed):
+        # Points within 0.3 of x, searched over B(x, 0.8): most levels are
+        # well above 1.  A polynomial whose interval bound is below the
+        # sweep's level keeps its best start value, which the grid bounds.
+        rng = np.random.default_rng(seed)
+        region, x = planar_instance(kind, rng)
+        inner = po.initial_invertible_set(region, x, 0.3, 6, rng=rng)
+        basis = build_design_matrix(make_set(inner.points, x, radius=0.8))
+        grid = grid_lagrange_max(basis, region, x, 0.8, refine=2)
+        values, _ = lagrange_maxima(basis, region, rng)
+        assert np.all(values <= grid + 2e-3)
+        swept = grid > 1.0 + 1e-6
+        assert np.any(swept)
+        assert np.all(values[swept] >= grid[swept] - 1e-9)
+        # The verdict at a level just below and just above the grid's.
+        level = grid.max()
+        above = po.check_poisedness(basis, region, level + 1e-2, rng=rng)
+        assert above.verified and above.lambda_observed <= level + 2e-3
+        below = po.check_poisedness(basis, region, level - 1e-2, rng=rng)
+        assert not below.verified and below.lambda_observed > level - 1e-2
+
+
+def feasible_ball_samples(region, x, r, rng, count=4000):
+    """Members of the region in B(x, r): uniform in the ball and on its sphere."""
+    u = rng.standard_normal((count, x.size))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    radii = r * rng.random(count) ** (1.0 / x.size)
+    ys = x + np.concatenate([u * radii[:, None], r * u])
+    return ys[region.is_member_batch(ys)]
+
+
+class TestRegressionRepair:
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["box", "ball", "simplex"]), n=st.integers(1, 3),
+           delta=st.floats(0.05, 2.0), tight=st.booleans(), clustered=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_repaired_regression_set_meets_lambda(self, kind, n, delta, tight,
+                                                        clustered, seed):
+        # The solver's repair of a regression run returns a set certified on
+        # its own basis at lam.  Near lam = sqrt(p) the MFN repair at lam
+        # may leave the regression level above lam, and the repair at
+        # lam / sqrt(p) must then restore it.  A sampled maximum of the
+        # regression Lagrange polynomials (numpy's pseudoinverse) is a
+        # lower bound of the level, so it may not exceed lam.
+        rng = np.random.default_rng(seed)
+        region, x = random_region(kind, n, rng)
+        p = 2 * n + 1
+        lam = 1.2 * np.sqrt(p) if tight else 10.0
+        old = clustered_set(rng, x, p=p, spread=0.01 * delta, radius=delta) if clustered else None
+        new, cert = sv._repaired(old, region, x, delta, p, lam, rng, "linear-regression")
+        r = min(delta, 1.0)
+        assert cert.verified and cert.lambda_observed <= lam
+        assert not po._outside_ball(new.points, x, r) and new.feasible(region)
+        ys = np.concatenate([new.points, feasible_ball_samples(region, x, r, rng)])
+        assert np.abs(regression_lagrange_values(new.points, x, ys)).max() <= lam * (1 + 1e-9)
+
+    def test_a_set_above_lambda_is_repaired_again(self, rng, monkeypatch):
+        # The MFN repair at lam stands in for one that leaves the regression
+        # level above lam by returning a cluster; the repair at
+        # lam / sqrt(p) must then bring the level to lam.
+        region, x, p, lam = geo.Box([-1.0, -1.0], [1.0, 1.0]), np.zeros(2), 5, 3.0
+        cluster = clustered_set(rng, x, p=p, spread=0.01)
+        levels, improve = [], sv.improve_to_poised
+
+        def cluster_first(old, region, x, radius, p, lam, rng=None):
+            levels.append(lam)
+            if len(levels) == 1:
+                return cluster, None, []
+            return improve(old, region, x, radius, p, lam, rng=rng)
+
+        monkeypatch.setattr(sv, "improve_to_poised", cluster_first)
+        new, cert = sv._repaired(None, region, x, 1.0, p, lam, rng, "linear-regression")
+        assert levels == [lam, lam / np.sqrt(p)]
+        assert cert.verified
+        basis = build_design_matrix(new)
+        assert grid_lagrange_max(basis, region, x, 1.0).max() <= lam
+        before = build_design_matrix(cluster)
+        assert grid_lagrange_max(before, region, x, 1.0).max() > lam
 
 
 class TestStackedQuadratics:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from convexdfo import geometry as geo
 from convexdfo import poisedness as po
 from convexdfo import solver as sv
+from convexdfo.linear_models import RegressionBasis
 from convexdfo.problems import get_problem, true_criticality
 from convexdfo.solver import (
     _CRITICALITY_FLOOR,
@@ -21,6 +22,8 @@ from convexdfo.solver import (
     _criticality_radius,
     solve,
 )
+
+from oracles import successful_step_lengths
 
 
 def run(problem_name, **config_kwargs):
@@ -100,6 +103,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(npoints=7).resolve_npoints(2)
 
+    def test_regression_level_must_exceed_sqrt_npoints(self):
+        # The fallback repair runs at poisedness / sqrt(p), which must stay above 1.
+        with pytest.raises(ValueError, match="sqrt"):
+            SolverConfig(model_kind="linear-regression", poisedness=2.0).resolve_npoints(2)
+        assert SolverConfig(model_kind="linear-regression",
+                            poisedness=2.5).resolve_npoints(2) == 5
+        assert SolverConfig(poisedness=2.0).resolve_npoints(2) == 5
+
 
 class TestRunRecordCsv:
     def test_schema_and_formatting(self, tmp_path):
@@ -173,24 +184,31 @@ class TestCriticalityRadius:
 
 @pytest.fixture(scope="module")
 def quad_run():
-    return run("quad2d", npoints=6, max_evals=400, seed=2)
+    """quad2d's run plus the points ``f`` was called at, in order."""
+    problem = get_problem("quad2d")
+    config = SolverConfig(npoints=6, max_evals=400, seed=2)
+    f, points = recording(problem.f)
+    x, record = solve(f, problem.region, problem.x0, config)
+    return problem, config, x, record, points
 
 
 class TestRunDiscipline:
 
     def test_iterates_feasible_and_monotone(self, quad_run):
-        problem, _, x, record = quad_run
+        problem, _, x, record, _ = quad_run
         fs = [row.f for row in record.rows]
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
         assert geo.contains(problem.region, x, 1e-9)
 
     def test_radius_update_discipline(self, quad_run):
-        _, config, _, record = quad_run
+        _, config, _, record, points = quad_run
         rows = record.rows
+        steps = successful_step_lengths(record, points)
         for row, nxt in zip(rows, rows[1:]):
             delta, after = row.delta, nxt.delta
-            if row.step_kind == "successful":
-                assert after == min(config.gamma_inc * delta, config.delta_max)
+            if row.step_kind == "successful":  # grows to gamma_inc * ||s|| if larger
+                assert after == min(max(delta, config.gamma_inc * steps[row.k]),
+                                    config.delta_max)
             elif row.step_kind == "unsuccessful":
                 assert after == config.gamma_dec * delta
             elif row.step_kind == "model-improving":
@@ -202,13 +220,13 @@ class TestRunDiscipline:
                 assert after == delta
 
     def test_criticality_rows_respect_guard(self, quad_run):
-        _, config, _, record = quad_run
+        _, config, _, record, _ = quad_run
         for row in record.rows:
             if row.step_kind == "criticality":
                 assert row.pi_m < config.eps_criticality
 
     def test_rho_presence_by_step_kind(self, quad_run):
-        _, _, _, record = quad_run
+        _, _, _, record, _ = quad_run
         for row in record.rows:
             if row.step_kind in ("successful", "unsuccessful", "model-improving"):
                 assert row.rho is not None
@@ -216,7 +234,7 @@ class TestRunDiscipline:
                 assert row.rho is None
 
     def test_successful_rows_decrease_f(self, quad_run):
-        _, config, _, record = quad_run
+        _, config, _, record, _ = quad_run
         rows = record.rows
         for row, nxt in zip(rows, rows[1:]):
             if row.step_kind == "successful":
@@ -224,7 +242,7 @@ class TestRunDiscipline:
                 assert row.rho >= config.eta
 
     def test_evals_nondecreasing_within_budget(self, quad_run):
-        _, config, _, record = quad_run
+        _, config, _, record, _ = quad_run
         evals = [row.evals for row in record.rows]
         assert all(b >= a for a, b in zip(evals, evals[1:]))
         assert evals[-1] <= config.max_evals
@@ -413,6 +431,53 @@ class TestKeptSet:
             if row.fully_linear:
                 assert not po._outside_ball(iset.points, iset.base, min(iset.radius, 1.0))
         assert all(region.is_member(y) for y in points)
+
+
+class TestRegressionRows:
+    def test_certified_on_the_basis_without_a_quadratic_system(self, monkeypatch):
+        # A regression run checks its sets on their regression basis, and
+        # its rows assemble no quadratic system; the repair still does.
+        checked, assembled = [], []
+        check, assemble = sv.check_poisedness, sv.assemble_system
+        monkeypatch.setattr(sv, "check_poisedness",
+                            lambda system, *a, **k: checked.append(system)
+                            or check(system, *a, **k))
+        monkeypatch.setattr(sv, "assemble_system",
+                            lambda *a, **k: assembled.append(1) or assemble(*a, **k))
+        _, _, _, record = run("quad2d", npoints=6, max_evals=200, seed=0,
+                              model_kind="linear-regression")
+        assert len(record.rows) > 10 and assembled == []
+        assert checked and all(isinstance(s, RegressionBasis) for s in checked)
+
+
+class TestKeptAfterSuccess:
+    def test_one_evaluation_per_row_after_a_step_that_fits(self, monkeypatch):
+        # After a successful step the set, recentred on the trial, keeps the
+        # smallest radius r in [delta, delta / gamma_dec] that holds all its
+        # points, or delta when there is none.  At a level no trial swap can
+        # break, a set that fits stays certified: the next step row spends
+        # only its trial.
+        problem = get_problem("rosenbrock2d")
+        f, points = recording(problem.f)
+        config = SolverConfig(max_evals=500, seed=0, poisedness=1e8)
+        record, sets = solve_with_sets(monkeypatch, f, problem.region, problem.x0, config)
+        kept = widened = 0
+        for row, nxt in zip(record.rows, record.rows[1:]):
+            if row.step_kind != "successful":
+                continue
+            iset, trial, delta = sets[nxt.k], points[row.evals - 1], nxt.delta
+            np.testing.assert_array_equal(iset.base, trial)
+            reach = np.max(np.linalg.norm(iset.points - trial, axis=1))
+            fits = delta < reach <= 1.0 and config.gamma_dec * reach <= delta
+            assert iset.radius == (reach if fits else delta)
+            if po._outside_ball(iset.points, trial, min(iset.radius, 1.0)):
+                continue
+            if nxt.step_kind != "criticality":
+                kept += 1
+                widened += iset.radius > delta
+                assert nxt.fully_linear
+                assert nxt.evals - row.evals == 1
+        assert kept >= 10 and widened >= 5
 
 
 def test_solver_path_does_not_import_accuracy():
