@@ -96,6 +96,8 @@ def _solver_config(args):
         "delta_min": args.delta_min,
         "seed": args.seed,
         "model_kind": args.model,
+        "problem": args.problem,
+        "region": args.region,
     }
     options.update({k: v for k, v in direct.items() if v is not None})
     if "model_kind" in options:
@@ -103,8 +105,7 @@ def _solver_config(args):
     unknown = set(options) - set(SolverConfig.__dataclass_fields__) - {"problem", "region"}
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    problem_name = options.pop("problem", None) or getattr(args, "problem", None)
-    region_spec = options.pop("region", None) or getattr(args, "region", None)
+    problem_name, region_spec = options.pop("problem", None), options.pop("region", None)
     return SolverConfig(**options), problem_name, region_spec
 
 
@@ -174,8 +175,12 @@ def cmd_poisedness(args):
     lam = args.lam
 
     if args.action == "check":
-        system = assemble_system(iset, require_invertible=False)
-        cert = poisedness.check_poisedness(system, region, lam, rng=rng)
+        try:
+            system = assemble_system(iset, require_invertible=False)
+            cert = poisedness.check_poisedness(system, region, lam, rng=rng)
+        except ValueError as exc:  # a set that does not fit the region or its size
+            print(f"cannot check set: {exc}", file=sys.stderr)
+            return 2
         witness = None if cert.witness_point is None else np.round(cert.witness_point, 12).tolist()
         print(
             f"poisedness check lambda={lam} lambda_observed={cert.lambda_observed!r} "

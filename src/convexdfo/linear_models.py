@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadratic_models import MfnSystem, Quadratics
+from .quadratic_models import MfnSystem, Quadratics, SignedLogDet, SingularGeometryError
 
 __all__ = [
     "InterpolationSet",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class DegenerateGeometryError(RuntimeError):
+class DegenerateGeometryError(SingularGeometryError):
     """Sample points do not affinely span R^n (design matrix rank deficient)."""
 
 
@@ -38,7 +38,8 @@ class InterpolationSet:
 
     The base point need not be one of the sample points.  Instances are
     treated as immutable; point replacement returns a new set.  ``system``
-    is the factored :class:`MfnSystem` of this geometry or None;
+    is the system of this geometry for the run's model kind (the factored
+    :class:`MfnSystem`, or the :class:`RegressionBasis`) or None;
     ``with_values`` keeps it, a new geometry drops it.
     """
 
@@ -46,7 +47,7 @@ class InterpolationSet:
     radius: float
     points: np.ndarray
     values: np.ndarray | None = None
-    system: MfnSystem | None = field(default=None, repr=False, compare=False)
+    system: MfnSystem | RegressionBasis | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=float)
@@ -104,12 +105,12 @@ class InterpolationSet:
 class RegressionBasis:
     """Numerical rank of the design matrix and the regression Lagrange coefficients.
 
-    ``lagrange_coeffs`` is the SVD pseudoinverse of the design matrix: one
+    ``lagrange_coeffs`` is the SVD pseudoinverse of the design matrix M: one
     column per sample point, holding ``(c_t, g_t)`` for the t-th Lagrange
     polynomial (the pseudoinverse applied to the t-th standard basis
-    vector).  A basis is also an interpolation system for
-    :func:`~convexdfo.poisedness.check_poisedness`, which certifies a set
-    on these polynomials.
+    vector).  :mod:`~convexdfo.poisedness` builds, repairs and certifies
+    regression sets on these polynomials; each repair swap grows ``det``,
+    det(M^T M) = prod sigma_i^2.  ``pivot_ratio`` is sigma_min / sigma_max.
     """
 
     base: np.ndarray
@@ -117,6 +118,8 @@ class RegressionBasis:
     points: np.ndarray
     rank: int
     lagrange_coeffs: np.ndarray
+    det: SignedLogDet
+    pivot_ratio: float
 
     @property
     def npoints(self):
@@ -130,11 +133,8 @@ class RegressionBasis:
     def full_rank(self):
         return self.rank == self.dimension + 1
 
-    # Nondegeneracy in the sense required by the regression poisedness
-    # definition: the displacements span R^n, i.e. M has full column rank.
-    @property
-    def nondegenerate(self):
-        return self.full_rank
+    # Regression poisedness requires the displacements to span R^n.
+    nondegenerate = full_rank
 
     def stacked_lagrange(self):
         """All p Lagrange polynomials as affine :class:`Quadratics`."""
@@ -147,10 +147,10 @@ def build_design_matrix(iset, require_full_rank=True):
 
     Builds the p x (n+1) matrix with rows ``[1, (y_t - x)^T]``, its SVD
     pseudoinverse with singular values below
-    ``max(p, n+1) * eps * sigma_max`` treated as zero, and the Lagrange
-    coefficient columns.  Raises :class:`DegenerateGeometryError` when the
-    rank is below n+1 (caller must repair the sample geometry), unless
-    ``require_full_rank`` is False.
+    ``max(p, n+1) * eps * sigma_max`` treated as zero, the Lagrange
+    coefficient columns, ``det(M^T M)`` and the pivot ratio.  Raises
+    :class:`DegenerateGeometryError` when the rank is below n+1 (caller
+    must repair the sample geometry), unless ``require_full_rank`` is False.
     """
     p, n = iset.npoints, iset.dimension
     if p < n + 1:
@@ -164,12 +164,16 @@ def build_design_matrix(iset, require_full_rank=True):
             f"degenerate geometry: design matrix rank {rank} < {n + 1}"
         )
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    with np.errstate(divide="ignore"):  # a zero singular value: det = 0
+        logdet = 2.0 * float(np.sum(np.log(s)))
     return RegressionBasis(
         base=iset.base,
         radius=iset.radius,
         points=iset.points,
         rank=rank,
         lagrange_coeffs=(Vt.T * inv_s) @ U.T,
+        det=SignedLogDet(float(s[-1] > 0.0), logdet),
+        pivot_ratio=float(s[-1] / s[0]),
     )
 
 

@@ -21,16 +21,22 @@ is O(rows * p); no Hessian is stored.  A polynomial whose interval bound on
 the search ball, with its exact ||H_t||, is at most the level cannot exceed
 it: its rows are never evaluated, and it keeps its best start value.
 
-One check-then-swap loop builds and repairs every set: each round checks
-the set and replaces one point by a feasible point where that point's
-Lagrange polynomial is large.  Infeasible points go first, each for the
-best point of its own polynomial.  Then, given a level Lambda, the witness
-point replaces its polynomial's point while the check finds a value above
-Lambda; each such swap multiplies |det F| by at least Lambda^2.  Each
-swapped set is factored once and carries its system; a swap that leaves
-it singular raises :class:`ThinRegionError`.
-:func:`initial_invertible_set` runs the loop with no level on a structured
-pattern, :func:`improve_to_poised` at its level on the given set.
+One check-then-swap loop builds and repairs every set, on the system of
+its model kind: the MFN system ``F`` or the regression design matrix
+``M``.  Each round checks the set and replaces one point by a feasible
+point where that point's Lagrange polynomial is large.  Infeasible points
+go first, each for the best point of its own polynomial.  Then, given a
+level Lambda, the witness point replaces its polynomial's point while the
+check finds a value above Lambda; each such swap multiplies |det F|, or
+det(M^T M), by at least Lambda^2, so the loop ends for every Lambda > 1.
+For ``F`` see :func:`~convexdfo.quadratic_models.det_swap_factor`.  For
+``M``, with ``l(y)`` the regression Lagrange values at y and leverage
+``h_t = l_t(y_t) <= 1``, replacing point t by y multiplies det(M^T M) by
+``(1 - h_t)(1 + ||l(y)||^2) + l_t(y)^2 >= l_t(y)^2``.  Each swapped set is
+built once and carries its system; a swap that leaves it singular raises
+:class:`ThinRegionError`.  :func:`initial_invertible_set` runs the loop
+with no level on a structured pattern, :func:`improve_to_poised` at its
+level on the given set.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import TrustRegionProjector, contains, shrink_into
-from .linear_models import InterpolationSet
-from .quadratic_models import SignedLogDet, assemble_system
+from .linear_models import InterpolationSet, RegressionBasis, build_design_matrix
+from .quadratic_models import MfnSystem, SignedLogDet, assemble_system
 from .sampling import sample_feasible_in_ball
 from .subproblems import _polish
 
@@ -59,6 +65,9 @@ __all__ = [
 
 N_RANDOM_STARTS = 20
 GEOMETRY_SLACK = 1e-9
+
+# The system each model kind builds, repairs and certifies its sets on.
+_SYSTEM_TYPES = {"mfn-quadratic": MfnSystem, "linear-regression": RegressionBasis}
 
 
 class PoisednessImprovementError(RuntimeError):
@@ -190,9 +199,8 @@ def _misplaced(points, region, x, radius):
 def check_poisedness(system, region, lam, beta=1.0, rng=None, early_exit=True):
     """Poisedness certificate for an interpolation system at level ``lam``.
 
-    Works for both quadratic interpolation systems and regression bases
-    (the regression notion additionally requires the displacements to span,
-    which is the basis' nondegeneracy flag).  Verification requires no
+    Works for both MFN systems and regression bases, whose nondegeneracy
+    also requires the displacements to span.  Verification requires no
     point misplaced (outside B(x, beta * min(radius, 1)) or infeasible),
     with x and radius the system's base and radius, and no Lagrange
     polynomial found above ``lam``.
@@ -260,14 +268,18 @@ def structured_initial_points(x, delta, p):
     return np.array(pts)
 
 
-def _factored(iset):
-    """``iset`` carrying its system, assembled only when it has none."""
-    if iset.system is None:
-        iset = replace(iset, system=assemble_system(iset, require_invertible=False))
+def _factored(iset, model_kind, required=False):
+    """``iset`` carrying a ``model_kind`` system, built unless it has one;
+    ``required`` raises :class:`SingularGeometryError` on a singular one."""
+    if not isinstance(iset.system, _SYSTEM_TYPES[model_kind]):
+        system = (build_design_matrix(iset, require_full_rank=required)
+                  if model_kind == "linear-regression"
+                  else assemble_system(iset, require_invertible=required))
+        iset = replace(iset, system=system)
     return iset
 
 
-def _repair(work, region, lam, rng, cap=None):
+def _repair(work, region, lam, rng, model_kind, cap=None):
     """The check-then-swap loop; returns ``(set, last certificate, swap_log)``.
 
     Each round checks the set (``lam = None`` checks at ``inf``: every
@@ -276,8 +288,8 @@ def _repair(work, region, lam, rng, cap=None):
     polynomial's best point.  Otherwise the witness point goes while the
     observed level exceeds ``lam``; only these swaps are logged, at most
     ``cap`` of them.  Their checks exit early at the first value above
-    ``lam``, which suffices for |det F| to grow by ``lam^2``; the last
-    round finds none, so its certificate is the full sweep's.  With no
+    ``lam``, which suffices for the determinant to grow by ``lam^2``; the
+    last round finds none, so its certificate is the full sweep's.  With no
     level and no point left to swap, the loop returns without a check.
     Each set carries its system; a singular one raises :class:`ThinRegionError`.
     """
@@ -303,16 +315,16 @@ def _repair(work, region, lam, rng, cap=None):
             t, y_new = cert.witness_index, cert.witness_point
         if not region.is_member(y_new):  # rounding left it just outside
             y_new = work.base + shrink_into(region, work.base, y_new - work.base)
-        before, work = work.system, _factored(work.replace_point(t, y_new))
-        if not work.system.invertible:
+        before, work = work.system, _factored(work.replace_point(t, y_new), model_kind)
+        if not work.system.nondegenerate:
             raise ThinRegionError(f"region too thin for invertible geometry: pivot ratio "
                                   f"{work.system.pivot_ratio:.3e} after replacing point {t}")
         if bad is None:
             swap_log.append(SwapRecord(t, y_new, cert.lambda_observed, before.det, work.system.det))
 
 
-def initial_invertible_set(region, x, delta, p, rng=None):
-    """Feasible interpolation set carrying its invertible system.
+def initial_invertible_set(region, x, delta, p, rng=None, model_kind="mfn-quadratic"):
+    """Feasible interpolation set carrying its nondegenerate ``model_kind`` system.
 
     The structured pattern goes through the repair loop with no level: each
     infeasible point is replaced by the best sweep start of its own Lagrange
@@ -323,22 +335,25 @@ def initial_invertible_set(region, x, delta, p, rng=None):
     x = np.asarray(x, dtype=float)
     if not contains(region, x):
         raise ValueError("base point must be feasible")
+    # The structured pattern is nondegenerate by construction.
     iset = InterpolationSet(x, delta, structured_initial_points(x, delta, p))
-    # The structured pattern is invertible by construction.
-    return _repair(replace(iset, system=assemble_system(iset)), region, None, _as_rng(rng))[0]
+    return _repair(_factored(iset, model_kind, required=True), region, None, _as_rng(rng),
+                   model_kind)[0]
 
 
-def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
+def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None,
+                      model_kind="mfn-quadratic"):
     """Produce a set poised at level ``lam`` on the feasible part of B(x, min(delta, 1)).
 
-    ``delta`` becomes the set's own ``radius``, on which it is certified.
-    Rebuilds (via :func:`initial_invertible_set`) when no set is given, or
-    the given one has the wrong size, a singular system or a point outside
+    The set is built and certified on the Lagrange polynomials of
+    ``model_kind``, and ``delta`` becomes its own ``radius``.  Rebuilds
+    (via :func:`initial_invertible_set`) when no set is given, or the given
+    one has the wrong size, a singular system or a point outside
     B(x, min(delta, 1)) (the certificate's test); an infeasible point inside
     the ball is repaired in place; its system is reused at the same ``x``
     and ``delta``.  Then runs the repair loop at ``lam``: each swap of a
-    point above ``lam`` multiplies |det F| by at least ``lam^2`` and is
-    logged with the determinants before and after it.
+    point above ``lam`` multiplies the determinant by at least ``lam^2``
+    and is logged with the determinants before and after it.
 
     Returns ``(set, certificate of the last check, swap_log)``.
     """
@@ -353,9 +368,10 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None):
     if iset is not None and iset.npoints == p and iset.dimension == x.size:
         same = np.array_equal(iset.base, x) and iset.radius == delta
         work = _factored(InterpolationSet(x, delta, iset.points.copy(),
-                                          system=iset.system if same else None))
-        if not work.system.invertible or _outside_ball(work.points, x, min(delta, 1.0)):
+                                          system=iset.system if same else None), model_kind)
+        if not work.system.nondegenerate or _outside_ball(work.points, x, min(delta, 1.0)):
             work = None
     if work is None:
-        work = initial_invertible_set(region, x, delta, p, rng=rng)
-    return _repair(work, region, lam, rng, max_swaps if max_swaps is not None else 100 * p)
+        work = initial_invertible_set(region, x, delta, p, rng=rng, model_kind=model_kind)
+    return _repair(work, region, lam, rng, model_kind,
+                   max_swaps if max_swaps is not None else 100 * p)

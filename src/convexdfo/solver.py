@@ -25,21 +25,18 @@ and ``kappa_eg * r``) give a model fully linear on B(x, delta) with
 ``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
 
 Models come in two kinds: linear regression on the sample set, or
-minimum-Frobenius-norm quadratic interpolation.  Both share the same
-geometry construction and repair through the quadratic interpolation
-system.  Each kind is certified on its own Lagrange polynomials, as the
-paper's accuracy bounds take them: an MFN set on its quadratic system, a
-regression set on its regression basis.  A regression row assembles no
-quadratic system.  A repaired regression set that the repair at level
-Lambda leaves above Lambda is repaired again at Lambda / sqrt(p), which
-bounds its regression level by Lambda.
+minimum-Frobenius-norm quadratic interpolation.  Each kind builds,
+repairs and certifies its sets on its own Lagrange polynomials, as the
+paper's accuracy bounds take them: an MFN set on its quadratic
+interpolation system, a regression set on its regression basis.  A
+regression run assembles no quadratic system.
 
 The point set carries its own values and is the solver's only store of
 evaluations: a repaired set takes each value it can from the set it
 replaces or from the iterate, so ``f`` is never called again at the
-iterate or at a point the set keeps.  In an MFN run it also carries its
-factored interpolation system, so each set is factored once: by the
-repair, or here after a step's swap or a recentring.
+iterate or at a point the set keeps.  It also carries the system of its
+model kind, so each set is factored once: by the repair, or here after a
+step's swap or a recentring.
 """
 
 from __future__ import annotations
@@ -103,15 +100,14 @@ class SolverConfig:
     """Parameters of the trust-region run.
 
     ``npoints`` defaults to 2n+1 (capped to the admissible range) at solve
-    time.  ``poisedness`` is the geometry level Lambda used both to certify
-    and to repair point sets, on the Lagrange polynomials of the model
-    kind; a linear-regression run needs Lambda > sqrt(npoints), since its
-    fallback repair runs at Lambda / sqrt(npoints).  ``eps_criticality``
-    and ``mu`` gate the criticality step, and ``mu * pi_m`` is also the
-    radius that step cuts a fully linear model's trust region to (clamped
-    between one ``gamma_dec`` step and a fixed fraction of the radius);
-    ``eta`` is the acceptance threshold.  A successful step sets ``delta``
-    to ``min(max(delta, gamma_inc * ||s||), delta_max)``.
+    time.  ``poisedness`` is the geometry level Lambda > 1 used both to
+    certify and to repair point sets, on the Lagrange polynomials of the
+    model kind.  ``eps_criticality`` and ``mu`` gate the criticality step,
+    and ``mu * pi_m`` is also the radius that step cuts a fully linear
+    model's trust region to (clamped between one ``gamma_dec`` step and a
+    fixed fraction of the radius); ``eta`` is the acceptance threshold.  A
+    successful step sets ``delta`` to
+    ``min(max(delta, gamma_inc * ||s||), delta_max)``.
     """
 
     delta0: float = 1.0
@@ -156,9 +152,6 @@ class SolverConfig:
             raise ValueError(
                 f"npoints={self.npoints} outside [{n + 2}, {max_points(n)}] for n={n}"
             )
-        if self.model_kind == "linear-regression" and not self.poisedness / np.sqrt(p) > 1.0:
-            raise ValueError(f"a linear-regression run needs poisedness > sqrt(npoints) "
-                             f"= {np.sqrt(p):.6g}")
         return p
 
 
@@ -280,36 +273,17 @@ def _recentred_radius(points, centre, delta, gamma_dec):
     return reach if delta < reach <= 1.0 and gamma_dec * reach <= delta else delta
 
 
-def _repaired(old, region, x, radius, p, lam, rng, model_kind):
-    """``old`` repaired on B(x, min(radius, 1)) at level ``lam``, without
-    new values, and the certificate of the model kind.
-
-    The MFN repair loop builds every set.  A regression set is then
-    certified on its own basis; one the loop leaves above ``lam`` is
-    repaired again at ``lam / sqrt(p)``, which bounds its regression level
-    by ``lam``: at every point the regression Lagrange values have at most
-    the 2-norm of the MFN ones.
-    """
-    new, cert, _ = improve_to_poised(old, region, x, radius, p, lam, rng=rng)
-    if model_kind == "linear-regression":
-        cert = check_poisedness(build_design_matrix(new), region, lam, rng=rng)
-        if not cert.verified:
-            new, _, _ = improve_to_poised(new, region, x, radius, p, lam / np.sqrt(p), rng=rng)
-            cert = check_poisedness(build_design_matrix(new), region, lam, rng=rng)
-    return new, cert
-
-
 def _build_model(iset, model_kind):
     """Model of ``iset.values`` (None when degenerate) and the system that
-    certifies it: the set's MFN system, assembled only when it has none, or
-    its regression basis."""
-    if model_kind == "linear-regression":
-        basis = build_design_matrix(iset, require_full_rank=False)
-        return (fit_regression_model(basis, iset.values) if basis.full_rank else None), basis
+    certifies it: the set's system of ``model_kind``, built only when it
+    has none."""
+    regression = model_kind == "linear-regression"
     system = iset.system
     if system is None:
-        system = assemble_system(iset, require_invertible=False)
-    return (fit_mfn_model(system, iset.values) if system.invertible else None), system
+        system = (build_design_matrix(iset, require_full_rank=False) if regression
+                  else assemble_system(iset, require_invertible=False))
+    fit = fit_regression_model if regression else fit_mfn_model
+    return (fit(system, iset.values) if system.nondegenerate else None), system
 
 
 def solve(f, region, x0, config=None):
@@ -350,15 +324,14 @@ def solve(f, region, x0, config=None):
     def repair(old, radius):
         # The set comes back only once all its values exist; the certificate
         # stands for it until a step replaces it.
-        new, cert = _repaired(old, region, x, radius, p, lam, rng, config.model_kind)
+        new, cert, _ = improve_to_poised(old, region, x, radius, p, lam, rng=rng,
+                                         model_kind=config.model_kind)
         return _with_values(oracle, new, old, x, fx), cert
 
     def build(iset):
-        # An MFN set carries its system, so the next repair reuses it.
+        # The set carries its system, so the next repair reuses it.
         model, system = _build_model(iset, config.model_kind)
-        if config.model_kind == "mfn-quadratic":
-            iset = replace(iset, system=system)
-        return model, system, iset
+        return model, system, replace(iset, system=system)
 
     iset = None
     try:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from convexdfo import geometry, problems, serialize
+from convexdfo import geometry, poisedness, problems, serialize
 from convexdfo.cli import main
 from convexdfo.linear_models import InterpolationSet
 from convexdfo.problems import get_problem, problem_names, true_criticality
@@ -154,18 +154,24 @@ class TestCliSolve:
         assert (tmp_path / "a" / "final_set.json").read_bytes() == \
                (tmp_path / "b" / "final_set.json").read_bytes()
 
-    def test_config_file_with_flag_override(self, tmp_path):
+    @pytest.mark.parametrize("extra, flags, code, says", [
+        # The flag's max_evals fails validation.
+        ("", ["--max-evals", "0"], 2, "max_evals must be positive"),
+        ("", ["--problem", "rosenbrock2d"], 0, "problem=rosenbrock2d"),
+        # The file's region does not fit quad2d; the flag's does.
+        ("region = box(-1,1)^3\n", ["--region", "box(-1,1)^2"], 0, "problem=quad2d"),
+    ], ids=["max_evals", "problem", "region"])
+    def test_config_file_with_flag_override(self, extra, flags, code, says, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "problem = quad2d\nmodel_kind = mfn-quadratic\n"
-            "npoints = 6\nmax_evals = 80\nseed = 4\n# comment line\n"
+            "npoints = 6\nmax_evals = 80\nseed = 4\n# comment line\n" + extra
         )
-        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == 0
-        code = main([
-            "solve", "--config", str(cfg), "--max-evals", "0", "--out", str(tmp_path),
-        ])
-        assert code == 2  # flag overrides file and fails validation
+        code_file = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code_file == (2 if extra else 0)
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), *flags, "--out", str(tmp_path)]) == code
+        assert says in capsys.readouterr()[0 if code == 0 else 1]
 
     def test_projection_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(geometry, "DYKSTRA_MAX_SWEEPS", 1)
@@ -197,13 +203,13 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "npoints=100" in err
 
-    def test_regression_level_not_above_sqrt_points_exits_2(self, tmp_path, capsys):
-        # A regression run's fallback repair runs at poisedness / sqrt(npoints).
+    def test_regression_level_below_sqrt_points_runs(self, tmp_path, capsys):
+        # A regression run repairs on its own basis, so a level of 2 below
+        # sqrt(6) is valid.
         code = main(["solve", "--problem", "quad2d", "--model", "linreg", "--points", "6",
-                     "--lambda", "2", "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "sqrt(npoints)" in err
+                     "--lambda", "2", "--max-evals", "30", "--out", str(tmp_path)])
+        assert code == 0
+        assert "model=linear-regression" in capsys.readouterr().out
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -263,6 +269,24 @@ class TestCliPoisedness:
         ])
         assert code == 2
         assert "too thin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points, region, says", [
+        (0.1 * np.arange(6.0).reshape(3, 2), "box(0,2)^2", "point count"),
+        (poisedness.structured_initial_points(np.full(3, 0.5), 0.3, 7), "box(0,2)^2",
+         "dimension"),
+    ], ids=["points", "dimension"])
+    def test_check_on_a_set_that_does_not_fit_exits_2(self, points, region, says, tmp_path,
+                                                       capsys):
+        # Too few points for the quadratic system, or a set in R^3 checked
+        # against a planar region: one line on stderr, no traceback.
+        path = tmp_path / "set.json"
+        serialize.save_set(InterpolationSet(points[0], 1.0, points), path)
+        code = main(["poisedness", "check", "--set", str(path), "--region", region,
+                     "--lambda", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot check set:") and says in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_improve_requires_out(self, cluster_file):
         assert main([

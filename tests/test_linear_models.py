@@ -24,6 +24,9 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(M, [[1.0, 0.0], [1.0, 1.0]])
         np.testing.assert_allclose(basis.lagrange_coeffs @ M, np.eye(2), atol=1e-12)
         assert basis.rank == 2 and basis.full_rank
+        # det(M^T M) = 1; the singular values are the golden ratio and its inverse.
+        assert basis.det.sign == 1.0 and basis.det.logabs == pytest.approx(0.0, abs=1e-12)
+        assert basis.pivot_ratio == pytest.approx((3.0 - np.sqrt(5.0)) / 2.0, rel=1e-12)
 
     def test_overdetermined_affine_recovery(self):
         iset = make_set([[0.0], [1.0], [2.0]])

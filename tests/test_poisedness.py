@@ -11,10 +11,12 @@ from convexdfo import quadratic_models as qm
 from convexdfo import solver as sv
 from convexdfo import subproblems as sp
 from convexdfo.linear_models import InterpolationSet, build_design_matrix
+from convexdfo.sampling import sample_feasible_in_ball
 from convexdfo.solver import SolverConfig, SolverError, solve
 
 from oracles import (
     dense_lagrange_polynomials,
+    design_matrix,
     dense_signed_logdet,
     grid_lagrange_max,
     kkt_lagrange_values,
@@ -345,46 +347,64 @@ class TestRegressionRepair:
            seed=st.integers(0, 2**32 - 1))
     def test_every_repaired_regression_set_meets_lambda(self, kind, n, delta, tight,
                                                         clustered, seed):
-        # The solver's repair of a regression run returns a set certified on
-        # its own basis at lam.  Near lam = sqrt(p) the MFN repair at lam
-        # may leave the regression level above lam, and the repair at
-        # lam / sqrt(p) must then restore it.  A sampled maximum of the
+        # A regression repair returns a set certified on its own basis at
+        # lam, also at a level as tight as 1.2.  A sampled maximum of the
         # regression Lagrange polynomials (numpy's pseudoinverse) is a
         # lower bound of the level, so it may not exceed lam.
         rng = np.random.default_rng(seed)
         region, x = random_region(kind, n, rng)
         p = 2 * n + 1
-        lam = 1.2 * np.sqrt(p) if tight else 10.0
+        lam = 1.2 if tight else 10.0
         old = clustered_set(rng, x, p=p, spread=0.01 * delta, radius=delta) if clustered else None
-        new, cert = sv._repaired(old, region, x, delta, p, lam, rng, "linear-regression")
+        new, cert, _ = po.improve_to_poised(old, region, x, delta, p, lam, rng=rng,
+                                            model_kind="linear-regression")
         r = min(delta, 1.0)
         assert cert.verified and cert.lambda_observed <= lam
         assert not po._outside_ball(new.points, x, r) and new.feasible(region)
         ys = np.concatenate([new.points, feasible_ball_samples(region, x, r, rng)])
         assert np.abs(regression_lagrange_values(new.points, x, ys)).max() <= lam * (1 + 1e-9)
 
-    def test_a_set_above_lambda_is_repaired_again(self, rng, monkeypatch):
-        # The MFN repair at lam stands in for one that leaves the regression
-        # level above lam by returning a cluster; the repair at
-        # lam / sqrt(p) must then bring the level to lam.
-        region, x, p, lam = geo.Box([-1.0, -1.0], [1.0, 1.0]), np.zeros(2), 5, 3.0
-        cluster = clustered_set(rng, x, p=p, spread=0.01)
-        levels, improve = [], sv.improve_to_poised
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["box", "ball"]), n=st.integers(1, 3),
+           lam=st.sampled_from([1.2, 3.0]), seed=st.integers(0, 2**32 - 1))
+    def test_swaps_grow_the_design_determinant(self, kind, n, lam, seed):
+        # Replacing point t by y multiplies det(M^T M) by
+        # (1 - h_t)(1 + ||l(y)||^2) + l_t(y)^2 >= l_t(y)^2.  Each logged
+        # swap is checked against the set it changed: l_t(y) from numpy's
+        # pseudoinverse, both determinants from slogdet.
+        rng = np.random.default_rng(seed)
+        region, x = random_region(kind, n, rng)
+        p = 2 * n + 1
+        before, replace_point = {}, InterpolationSet.replace_point
 
-        def cluster_first(old, region, x, radius, p, lam, rng=None):
-            levels.append(lam)
-            if len(levels) == 1:
-                return cluster, None, []
-            return improve(old, region, x, radius, p, lam, rng=rng)
+        def recorded(iset, t, point, value=None):
+            before[(t, point.tobytes())] = iset.points.copy()
+            return replace_point(iset, t, point, value)
 
-        monkeypatch.setattr(sv, "improve_to_poised", cluster_first)
-        new, cert = sv._repaired(None, region, x, 1.0, p, lam, rng, "linear-regression")
-        assert levels == [lam, lam / np.sqrt(p)]
-        assert cert.verified
-        basis = build_design_matrix(new)
-        assert grid_lagrange_max(basis, region, x, 1.0).max() <= lam
-        before = build_design_matrix(cluster)
-        assert grid_lagrange_max(before, region, x, 1.0).max() > lam
+        # A feasible cluster: its points are swapped only for their level.
+        cluster = make_set(sample_feasible_in_ball(rng, region, x, 0.01, p), x)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(InterpolationSet, "replace_point", recorded)
+            _, cert, swaps = po.improve_to_poised(cluster, region, x, 1.0, p, lam, rng=rng,
+                                                  model_kind="linear-regression")
+        assert cert.verified and len(swaps) >= 1
+        for swap in swaps:
+            points = before[(swap.index, swap.point.tobytes())]
+            after = points.copy()
+            after[swap.index] = swap.point
+            dets = []
+            for pts in (points, after):
+                M = design_matrix(pts, x)
+                sign, logabs = np.linalg.slogdet(M.T @ M)
+                assert sign == 1.0
+                dets.append(logabs)
+            ell = regression_lagrange_values(points, x, swap.point)[0, swap.index]
+            assert abs(ell) >= lam * (1 - 1e-9)
+            assert dets[1] - dets[0] >= 2.0 * np.log(abs(ell)) - 1e-9
+            assert swap.det_after.logabs - swap.det_before.logabs == pytest.approx(
+                dets[1] - dets[0], abs=1e-8)
+        for first, second in zip(swaps, swaps[1:]):
+            assert second.det_before == first.det_after
 
 
 class TestStackedQuadratics:
