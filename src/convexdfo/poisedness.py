@@ -37,6 +37,12 @@ built once and carries its system; a swap that leaves it singular raises
 :class:`ThinRegionError`.  :func:`initial_invertible_set` runs the loop
 with no level on a structured pattern, :func:`improve_to_poised` at its
 level on the given set.
+
+The structured pattern places each coordinate axis in its feasible room,
+bisected on exact membership, so on a box face or corner the first set and
+every rebuild are feasible with no sweep, and their three points per axis
+fit a separable quadratic exactly.  Only axes with too little room keep
+infeasible points for the loop to swap.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ __all__ = [
 
 N_RANDOM_STARTS = 20
 GEOMETRY_SLACK = 1e-9
+# Bisections of each axis ray for its feasible room.
+AXIS_BISECTIONS = 50
 
 # The system each model kind builds, repairs and certifies its sets on.
 _SYSTEM_TYPES = {"mfn-quadratic": MfnSystem, "linear-regression": RegressionBasis}
@@ -242,15 +250,46 @@ def check_poisedness(system, region, lam, beta=1.0, rng=None, early_exit=True):
     )
 
 
-def structured_initial_points(x, delta, p):
+def _axis_room(region, x, r):
+    """Feasible room of ``x`` along +e_i and -e_i: arrays ``(b, a)``, each at most r.
+
+    All 2n rays are bisected together on exact membership
+    (``is_member_batch``).  A ray whose full step r is a member gets r
+    exactly; every other room is the last step whose point was a member.
+    """
+    n = x.size
+    rays = np.concatenate([np.eye(n), -np.eye(n)])
+    room = np.where(region.is_member_batch(x + r * rays), r, 0.0)
+    short = np.flatnonzero(room < r)
+    if short.size:
+        hi = np.full(short.size, r)
+        for _ in range(AXIS_BISECTIONS):
+            mid = 0.5 * (room[short] + hi)
+            inside = region.is_member_batch(x + mid[:, None] * rays[short])
+            room[short] = np.where(inside, mid, room[short])
+            hi = np.where(inside, hi, mid)
+    return room[:n], room[n:]
+
+
+def structured_initial_points(x, delta, p, region=None):
     """Deterministic pattern of p points in B(x, min(delta, 1)).
 
     Base point first, then plus/minus axis steps of length r = min(delta, 1),
     then diagonal pair steps ``x + (r / sqrt(2)) (e_s + e_t)`` for s < t in
     lexicographic order (normalized onto the radius-r sphere so the whole
-    pattern stays inside the search ball).  The pattern ignores the feasible
-    region; its interpolation system is invertible, which is verified
-    numerically by the callers.
+    pattern stays inside the search ball).  Its interpolation system is
+    nondegenerate by construction.
+
+    Given a ``region`` containing ``x``, each axis is placed in its
+    feasible room (:func:`_axis_room`): b_i along +e_i and a_i along -e_i.
+    An axis pair becomes ``x + b_i e_i`` and ``x - a_i e_i`` when
+    min(a_i, b_i) >= r/4, or else ``x + s e_i`` and ``x + (s/2) e_i`` when
+    the longer side s (b_i, or -a_i) has |s| >= r/2; an axis with only its
+    plus point (p <= 2n) becomes ``x + s e_i`` when |s| >= r/2.  Other
+    axes, an axis with a point that is not an exact member, and the pair
+    steps keep the region-free points, feasible or not, for the repair loop
+    to swap.  Where ``x +- r e_i`` are members the axis is the region-free
+    one, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -265,7 +304,31 @@ def structured_initial_points(x, delta, p):
         pts.append(x + (r / np.sqrt(2.0)) * (np.eye(n)[s] + np.eye(n)[t]))
     if len(pts) != p:
         raise ValueError(f"cannot place {p} structured points in dimension {n}")
-    return np.array(pts)
+    pts = np.array(pts)
+    if region is None:
+        return pts
+    b, a = _axis_room(region, x, r)
+    axes, rows, steps = [], [], []
+    for i in range(min(n, p - 1)):
+        own = [1 + i, 1 + n + i] if i < p - n - 1 else [1 + i]
+        s = b[i] if b[i] >= a[i] else -a[i]  # the longer side, signed
+        if len(own) == 2 and min(a[i], b[i]) >= r / 4:
+            step = [b[i], -a[i]]
+        elif abs(s) >= r / 2:
+            step = [s, s / 2][:len(own)]
+        else:
+            continue
+        axes += [i] * len(own)
+        rows += own
+        steps += step
+    if rows:
+        axes = np.array(axes)
+        cand = x + np.array(steps)[:, None] * np.eye(n)[axes]
+        # Axes move whole: a half step that rounds out of the region would
+        # leave its partner's region-free point, possibly a duplicate.
+        moves = ~np.isin(axes, axes[~region.is_member_batch(cand)])
+        pts[np.array(rows)[moves]] = cand[moves]
+    return pts
 
 
 def _factored(iset, model_kind, required=False):
@@ -326,17 +389,18 @@ def _repair(work, region, lam, rng, model_kind, cap=None):
 def initial_invertible_set(region, x, delta, p, rng=None, model_kind="mfn-quadratic"):
     """Feasible interpolation set carrying its nondegenerate ``model_kind`` system.
 
-    The structured pattern goes through the repair loop with no level: each
-    infeasible point is replaced by the best sweep start of its own Lagrange
-    polynomial, and a swap that leaves the system singular raises
-    :class:`ThinRegionError`.  A pattern with no infeasible point comes back
-    as it is, with no sweep.
+    The structured pattern of the region (:func:`structured_initial_points`,
+    each axis in its feasible room) goes through the repair loop with no
+    level: each infeasible point left in it is replaced by the best sweep
+    start of its own Lagrange polynomial, and a swap that leaves the system
+    singular raises :class:`ThinRegionError`.  A pattern with no infeasible
+    point comes back as it is, with no sweep.
     """
     x = np.asarray(x, dtype=float)
     if not contains(region, x):
         raise ValueError("base point must be feasible")
     # The structured pattern is nondegenerate by construction.
-    iset = InterpolationSet(x, delta, structured_initial_points(x, delta, p))
+    iset = InterpolationSet(x, delta, structured_initial_points(x, delta, p, region))
     return _repair(_factored(iset, model_kind, required=True), region, None, _as_rng(rng),
                    model_kind)[0]
 

@@ -170,10 +170,12 @@ def regression_lagrange_values(points, base, ys):
 def grid_lagrange_max(system, region, x, r, step=1.5e-3, refine=0):
     """Dense-grid maxima of all |l_t| over B(x, r) and the region (n = 2).
 
-    ``system`` is an interpolation system or a regression basis.  With
-    ``refine`` > 0, zooms in around each polynomial's coarse argmax that
-    many times (factor 50 per level), pushing the one-sided grid
-    granularity error far below the coarse step.
+    ``system`` is an interpolation system or a regression basis.  Each
+    maximum starts from the system's own points that are feasible and in
+    the ball, so a maximum at one of them (on the boundary, say) is never
+    missed by the grid.  With ``refine`` > 0, zooms in around each
+    polynomial's argmax that many times (factor 50 per level), pushing the
+    one-sided grid granularity error far below the coarse step.
     """
     x = np.asarray(x, dtype=float)
     p = system.npoints
@@ -184,37 +186,40 @@ def grid_lagrange_max(system, region, x, r, step=1.5e-3, refine=0):
         def lagrange_values(pts):
             return regression_lagrange_values(system.points, system.base, pts)
 
-    def scan(lo0, hi0, lo1, hi1, cell):
+    def update(best, arg, pts):
+        keep = np.einsum("ij,ij->i", pts - x, pts - x) <= r**2
+        pts = pts[keep]
+        if len(pts) == 0:
+            return
+        pts = pts[region.is_member_batch(pts)]
+        if len(pts) == 0:
+            return
+        vals = np.abs(lagrange_values(pts))
+        rows = vals.argmax(axis=0)
+        chunk_best = vals[rows, np.arange(p)]
+        better = chunk_best > best
+        best[better] = chunk_best[better]
+        arg[better] = pts[rows[better]]
+
+    def scan(lo0, hi0, lo1, hi1, cell, best, arg):
         xs = np.arange(lo0, hi0 + cell, cell)
         ys = np.arange(lo1, hi1 + cell, cell)
-        best = np.zeros(p)
-        arg = np.tile(x, (p, 1))
         for xv in np.array_split(xs, max(1, len(xs) // 200)):
             mesh = np.meshgrid(xv, ys, indexing="ij")
-            pts = np.column_stack([m.ravel() for m in mesh])
-            keep = np.einsum("ij,ij->i", pts - x, pts - x) <= r**2
-            pts = pts[keep]
-            if len(pts) == 0:
-                continue
-            pts = pts[region.is_member_batch(pts)]
-            if len(pts) == 0:
-                continue
-            vals = np.abs(lagrange_values(pts))
-            rows = vals.argmax(axis=0)
-            chunk_best = vals[rows, np.arange(p)]
-            better = chunk_best > best
-            best[better] = chunk_best[better]
-            arg[better] = pts[rows[better]]
+            update(best, arg, np.column_stack([m.ravel() for m in mesh]))
         return best, arg
 
-    best, arg = scan(x[0] - r, x[0] + r, x[1] - r, x[1] + r, step)
+    best, arg = np.zeros(p), np.tile(x, (p, 1))
+    update(best, arg, np.asarray(system.points, dtype=float))
+    scan(x[0] - r, x[0] + r, x[1] - r, x[1] + r, step, best, arg)
     cell = step
     for _ in range(refine):
         window = 2.0 * cell
         cell = window / 50.0
         for t in range(p):
             b, a = scan(arg[t, 0] - window, arg[t, 0] + window,
-                        arg[t, 1] - window, arg[t, 1] + window, cell)
+                        arg[t, 1] - window, arg[t, 1] + window, cell,
+                        np.zeros(p), np.tile(x, (p, 1)))
             if b[t] > best[t]:
                 best[t], arg[t] = b[t], a[t]
     return best

@@ -496,6 +496,90 @@ class TestInitialInvertibleSet:
             po.initial_invertible_set(region, np.array([2.0, 0.0]), 1.0, 6, rng=rng)
 
 
+def last_member_on_ray(region, x, u, reach=4.0):
+    """The last exact member of the region on x + t u, 0 <= t <= reach."""
+    lo, hi = 0.0, reach
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if region.is_member(x + mid * u) else (lo, mid)
+    return x + lo * u
+
+
+def stencil_region(kind, n, rng, on_boundary):
+    """A random box, ball, simplex, lens or box-ball, and a member of it
+    (on the boundary along a random ray when ``on_boundary``)."""
+    if kind in ("box", "ball", "simplex"):
+        region, x = random_region(kind, n, rng)
+    else:
+        centre = rng.standard_normal(n)
+        if kind == "lens":
+            shift = rng.standard_normal(n)
+            shift *= rng.uniform(0.2, 1.2) / np.linalg.norm(shift)
+            region = geo.Intersection([geo.Ball(centre, 1.0), geo.Ball(centre + shift, 1.0)])
+            x = centre + 0.5 * shift
+        else:
+            half = 0.2 + rng.random(n)
+            radius = rng.uniform(half.min(), np.linalg.norm(half))
+            region = geo.Intersection([geo.Box(centre - half, centre + half),
+                                       geo.Ball(centre, radius)])
+            x = centre
+        x = last_member_on_ray(region, x, rng.uniform(-1.0, 1.0, n), reach=rng.random())
+    if on_boundary:
+        x = last_member_on_ray(region, x, rng.standard_normal(n))
+    return region, x
+
+
+class TestFeasibleAxisStencil:
+    """The structured pattern places each axis in the region's feasible room."""
+
+    @pytest.mark.parametrize("x", [[1.0, 1.0, 1.0], [0.8, 0.8, 0.8], [1.0, 0.2, -0.5]])
+    def test_box_first_sets_fit_separable_quadratic(self, x, monkeypatch):
+        # On [-0.5, 1]^3 each axis gets three feasible points, which fit
+        # diag(1..3) + 1^T x exactly, and the first set needs no sweep.
+        region = geo.Box([-0.5] * 3, [1.0] * 3)
+        x = np.asarray(x)
+        checks, check = [], po.check_poisedness
+        monkeypatch.setattr(po, "check_poisedness",
+                            lambda *a, **k: checks.append(1) or check(*a, **k))
+        iset = po.initial_invertible_set(region, x, 1.0, 7, rng=0)
+        assert checks == []
+
+        def f(ys):
+            return 0.5 * (ys**2) @ np.arange(1.0, 4.0) + ys.sum(axis=1)
+
+        model = qm.fit_mfn_model(iset.system, f(iset.points))
+        ys = sample_feasible_in_ball(np.random.default_rng(0), region, x, 1.0, 200)
+        np.testing.assert_allclose(model.values(ys), f(ys), rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["box", "ball", "simplex", "lens", "box-ball"]),
+           n=st.integers(1, 3), delta=st.floats(0.01, 2.0), on_boundary=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stencil_points_are_feasible_and_region_free_where_they_fit(
+            self, kind, n, delta, on_boundary, seed):
+        rng = np.random.default_rng(seed)
+        region, x = stencil_region(kind, n, rng, on_boundary)
+        p = int(rng.integers(n + 2, qm.max_points(n) + 1))
+        r = min(delta, 1.0)
+        pts = po.structured_initial_points(x, delta, p, region)
+        free = po.structured_initial_points(x, delta, p)
+        moved = np.flatnonzero(np.any(pts != free, axis=1))
+        assert np.all((1 <= moved) & (moved <= 2 * n))  # axis points only
+        assert np.all(region.is_member_batch(pts[moved]))
+        assert np.all(np.linalg.norm(pts[moved] - x, axis=1)
+                      <= r + 1e-12 * (1.0 + np.linalg.norm(x)))
+        iset = make_set(pts, x, delta)
+        assert qm.assemble_system(iset, require_invertible=False).nondegenerate
+        assert build_design_matrix(iset).nondegenerate
+        fits = (region.is_member_batch(x + r * np.eye(n))
+                & region.is_member_batch(x - r * np.eye(n)))
+        for i in np.flatnonzero(fits):
+            own = [t for t in (1 + i, 1 + n + i) if t < p]
+            np.testing.assert_array_equal(pts[own], free[own])
+        if fits.all():
+            np.testing.assert_array_equal(pts, free)
+
+
 class TestImproveToPoised:
     def test_already_poised_returns_zero_swaps(self, rng):
         region = geo.Box([0.0, 0.0], [2.0, 2.0])
@@ -731,12 +815,14 @@ class TestCarriedSystem:
         assert iset.replace_point(3, np.array([0.6, 0.7])).system is None
         assert iset.with_geometry(x, 0.5).system is None
 
-    @pytest.mark.parametrize("region,x,lam", [
-        (geo.Box([0.0, 0.0], [2.0, 2.0]), [0.0, 0.0], 1.5),      # infeasible swaps
-        (geo.WholeSpace(2), [0.0, 0.0], 1.2),                     # level swaps
-        (geo.Box([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]), [0.0, 0.0, 0.3], 1.5),
+    @pytest.mark.parametrize("region,x,lam,swapping", [
+        # Thin boxes: axis points with too little room are swapped.
+        (geo.Box([0.0, 0.0], [2.0, 0.3]), [0.0, 0.15], 1.5, True),
+        (geo.WholeSpace(2), [0.0, 0.0], 1.2, True),               # level swaps
+        (geo.Box([0.0, 0.0, 0.0], [2.0, 2.0, 0.3]), [0.0, 0.0, 0.15], 1.5, True),
+        (geo.Box([0.0, 0.0], [2.0, 2.0]), [0.0, 0.0], 1.5, False),  # feasible stencil
     ])
-    def test_each_set_is_assembled_once(self, region, x, lam, monkeypatch):
+    def test_each_set_is_assembled_once(self, region, x, lam, swapping, monkeypatch):
         # A rebuild factors its pattern and each swapped set once; an
         # improvement of a set that carries its system and is already
         # poised factors nothing.
@@ -749,7 +835,7 @@ class TestCarriedSystem:
         monkeypatch.setattr(InterpolationSet, "replace_point",
                             lambda *a, **k: swapped.append(1) or replace_point(*a, **k))
         rebuilt, _, _ = po.improve_to_poised(None, region, x, 1.0, p, lam, rng=0)
-        assert len(swapped) >= 1
+        assert (len(swapped) >= 1) if swapping else swapped == []
         assert len(assembled) == 1 + len(swapped)
         assembled.clear()
         again, cert, swaps = po.improve_to_poised(rebuilt, region, x, 1.0, p, lam, rng=0)

@@ -327,17 +327,16 @@ class TestEdgeCases:
             solve(problem.f, region, problem.x0, SolverConfig(max_evals=60, seed=0))
         assert info.value.record.status == "error"
 
-    @pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+    @pytest.mark.xfail(strict=True, raises=geo.ProjectionError, reason=(
         "Dykstra's projection onto this simplex cut by the trust ball stalls at "
-        "residual 5.8e-5 in a poisedness sweep (ROADMAP item 5: an exact "
-        "polyhedron-ball projection)"))
+        "residual 5.8e-5 (ROADMAP item 5: an exact polyhedron-ball projection)"))
     def test_simplex_sweep_projection_converges(self):
+        # One row of a poisedness sweep on the simplex, from a base on its face.
         region = geo.Halfspaces([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
-        target = np.array([0.3743825688751522, -0.20432815474468305])
-        x0 = np.array([0.13556652932184116, 0.22839499793092774])
-        _, record = solve(lambda y: float(np.sum((y - target) ** 2)), region, x0,
-                          SolverConfig(delta0=1.5, npoints=5, max_evals=40, seed=2))
-        assert record.status == "budget"
+        base = np.array([0.012818357405296243, 0.0])
+        out = geo.TrustRegionProjector(region, base, 1.0)(
+            np.array([[-0.16467811706503227, 1.881153023056644]]))[0]
+        assert region.is_member(out) and np.linalg.norm(out - base) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("upper", [[1.0, 1e-3], [1.0, 1.0, 1e-3]])
     def test_singular_geometry_raises_solver_error(self, upper):
