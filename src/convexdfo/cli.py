@@ -144,18 +144,14 @@ def cmd_solve(args):
     record.to_csv(out / "runrecord.csv")
 
     if record.final_set is not None:
-        iset = record.final_set
-        serialize.save_set(iset, out / "final_set.json")
-        if config.model_kind == "mfn-quadratic":
-            model = fit_mfn_model(assemble_system(iset), iset.values)
-        else:
-            model = fit_regression_model(build_design_matrix(iset), iset.values)
-        serialize.save_model(model, out / "final_model.json")
+        serialize.save_set(record.final_set, out / "final_set.json")
+    if record.final_model is not None:
+        serialize.save_model(record.final_model, out / "final_model.json")
 
-    evals = record.rows[-1].evals if record.rows else 0
     print(
         f"solve problem={problem.name} model={config.model_kind} status={record.status} "
-        f"iterations={len(record.rows)} evals={evals} f={float(problem.f(x_final))!r} out={out}"
+        f"iterations={len(record.rows)} evals={record.evals} "
+        f"f={float(problem.f(x_final))!r} out={out}"
     )
     return 0
 
@@ -335,7 +331,7 @@ def cmd_bench(args):
                 x_final, record = solve(problem.f, problem.region, problem.x0, config)
                 wall = time.perf_counter() - start
                 pi_f = true_criticality(problem, x_final)
-                evals = record.rows[-1].evals if record.rows else 0
+                evals = record.evals
                 lines.append(
                     f"{name},{kind},{seed},{record.status},{evals},"
                     f"{float(problem.f(x_final))!r},{float(pi_f)!r}"

@@ -557,13 +557,19 @@ def shrink_into(region, x, s):
     ``x`` must be a member.  Projections are exact up to rounding, so a
     point about to be evaluated can sit an ulp outside the region; each
     try shrinks ``s`` by a factor whose gap to 1 starts at one ulp and
-    doubles.  ``s`` comes back unchanged when ``x + s`` is already a
-    member, or when no shrink makes it one (``x`` on the same boundary).
+    doubles.  When no shrink makes it a member (``x`` on the same
+    boundary, the step along it), the region's own projection of ``x + s``
+    is taken if that is an exact member.  ``s`` comes back unchanged when
+    ``x + s`` is already a member, or when neither gives one.
     """
     shrunk, shrink = s, np.finfo(float).eps
     while not region.is_member(x + shrunk):
         if shrink >= 1.0:
-            return s
+            try:
+                moved = project(region, x + s).point - x
+            except ProjectionError:
+                return s
+            return moved if region.is_member(x + moved) else s
         shrunk = shrunk * (1.0 - shrink)
         shrink *= 2.0
     return shrunk

@@ -18,6 +18,15 @@ quadratic of the package, model or Lagrange polynomial, is a row of
 :class:`Quadratics`, whose Hessians stay in this factored form; every
 Lagrange value is read from that stack.
 
+The solver's models are least-change fits (Powell's update, as in NEWUOA
+and BOBYQA): of the quadratics interpolating ``f``, the one with the least
+``||H - H_prev||_F`` for the Hessian ``H_prev`` of its last model.  The
+Frobenius-norm objective is translation-invariant, so this is the same
+system applied to ``f - q_prev``, ``q_prev(y) = (y - x)^T H_prev (y - x) / 2``:
+the model is ``q_prev + sum_t (f - q_prev)(y_t) l_t``, with the dense Hessian
+``H_prev + H_r`` (:meth:`Quadratics.from_hessian`).  The set, its system and
+its Lagrange polynomials do not depend on the prior.
+
 The system is assembled in displacements divided by min(radius, 1): the
 ``Q`` block is quartic in the point radius, so the unscaled matrix is
 needlessly ill-conditioned.  Lagrange values are invariant under this

@@ -25,7 +25,17 @@ and ``kappa_eg * r``) give a model fully linear on B(x, delta) with
 ``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
 
 Models come in two kinds: linear regression on the sample set, or
-minimum-Frobenius-norm quadratic interpolation.  Each kind builds,
+minimum-Frobenius-norm quadratic interpolation.  Quadratic models are
+least-change fits: each row's model is, of the interpolants, the one
+nearest the Hessian ``H_prev`` of the last model in the Frobenius norm,
+``q_prev + MFN(f - q_prev)`` with ``q_prev(y) = (y - x)^T H_prev (y - x) / 2``.
+So a row keeps the curvature earlier rows learned.  The residual
+``f - q_prev`` has gradient Lipschitz constant ``L + ||H_prev||``, so the
+MFN accuracy bounds still make a poised set's model fully linear; a prior
+with ``||H_prev||_2`` above ``_PRIOR_HESS_CAP`` is dropped (that row fits
+from ``H = 0``), which keeps the model Hessians, and so the constants,
+bounded.  The run's final model (``RunRecord.final_model``) is the fit of
+its final set under its last prior.  Each kind builds,
 repairs and certifies its sets on its own Lagrange polynomials, as the
 paper's accuracy bounds take them: an MFN set on its quadratic
 interpolation system, a regression set on its regression basis.  A
@@ -54,7 +64,13 @@ from .poisedness import (
     check_poisedness,
     improve_to_poised,
 )
-from .quadratic_models import SingularGeometryError, assemble_system, fit_mfn_model, max_points
+from .quadratic_models import (
+    Quadratics,
+    SingularGeometryError,
+    assemble_system,
+    fit_mfn_model,
+    max_points,
+)
 from .sampling import sample_feasible_in_ball
 from .subproblems import criticality_measure, solve_trust_region_step
 
@@ -77,6 +93,11 @@ CSV_COLUMNS = ("k", "f", "delta", "pi_m", "rho", "step_kind", "evals", "fully_li
 # Floor of the criticality cut as a fraction of the current radius: a
 # model with pi_m = 0 would otherwise send delta to 0 in one step.
 _CRITICALITY_FLOOR = 0.0625
+
+# Bound on ||H_prev||_2 of the least-change prior; above it the fit starts
+# from H = 0, so the model Hessians, and the accuracy constants that
+# depend on them, stay bounded.
+_PRIOR_HESS_CAP = 1e4
 
 
 class BudgetExhausted(Exception):
@@ -173,15 +194,20 @@ class IterationRow:
 class RunRecord:
     """Per-iteration trace plus terminal status of one solve.
 
+    ``evals`` counts every call of ``f``, the last row's and any after it.
     ``final_set`` is the last complete interpolation set, with its values
     but not its system, at termination or failure (for export and
-    inspection); ``final_values`` reads its values.  Neither is in the CSV.
+    inspection); ``final_values`` reads its values.  ``final_model`` is the
+    model of ``final_set`` under the run's last least-change prior (None
+    when the set is degenerate).  None of them is in the CSV.
     """
 
     rows: list = field(default_factory=list)
     status: str = "running"
     notes: list = field(default_factory=list)
+    evals: int = 0
     final_set: object = None
+    final_model: object = None
 
     @property
     def final_values(self):
@@ -286,6 +312,29 @@ def _build_model(iset, model_kind):
     return (fit(system, iset.values) if system.nondegenerate else None), system
 
 
+def _least_change_fit(iset, model_kind, prior):
+    """Model of ``iset.values`` nearest the prior Hessian, and its system.
+
+    With the dense prior ``H_prev`` (None for 0) the MFN model is
+    ``q_prev + MFN(f - q_prev)``, ``q_prev(y) = (y - x)^T H_prev (y - x) / 2``:
+    of the quadratics interpolating ``f`` on the set, the one with the least
+    ``||H - H_prev||_F``.  It is fitted on the set's own system, so the
+    Lagrange polynomials that certify and repair the set do not change.  A
+    regression model, and a prior with ``||H_prev||_2`` above
+    ``_PRIOR_HESS_CAP``, get :func:`_build_model`'s fit.
+    """
+    if (prior is None or model_kind == "linear-regression"
+            or np.linalg.norm(prior, 2) > _PRIOR_HESS_CAP):
+        return _build_model(iset, model_kind)
+    d = iset.points - iset.base
+    q = 0.5 * np.einsum("ti,ij,tj->t", d, prior, d)
+    residual, system = _build_model(iset.with_values(iset.values - q), model_kind)
+    if residual is None:
+        return None, system
+    (c,), (g,) = residual.c, residual.g
+    return Quadratics.from_hessian(iset.base, c, g, prior + residual.hessians()[0]), system
+
+
 def solve(f, region, x0, config=None):
     """Run the trust-region iteration; returns ``(x_final, RunRecord)``.
 
@@ -328,9 +377,15 @@ def solve(f, region, x0, config=None):
                                          model_kind=config.model_kind)
         return _with_values(oracle, new, old, x, fx), cert
 
+    # The Hessian of the last model: the next fit changes it least.
+    prior = None
+
     def build(iset):
         # The set carries its system, so the next repair reuses it.
-        model, system = _build_model(iset, config.model_kind)
+        nonlocal prior
+        model, system = _least_change_fit(iset, config.model_kind, prior)
+        if model is not None:
+            prior = model.hessians()[0]
         return model, system, replace(iset, system=system)
 
     iset = None
@@ -415,6 +470,10 @@ def solve(f, region, x0, config=None):
         # A failing f is reported through its own exception, not the signal.
         raise SolverError(str(exc), record) from (exc.__cause__ or exc)
     finally:
-        # The last set whose values all exist, also when the run fails.
-        record.final_set = iset if iset is None else replace(iset, system=None)
+        # The last set whose values all exist, also when the run fails, and
+        # the model the next row would fit on it.
+        record.evals = oracle.used
+        if iset is not None:
+            record.final_set = replace(iset, system=None)
+            record.final_model = _least_change_fit(iset, config.model_kind, prior)[0]
     return x, record

@@ -9,6 +9,7 @@ from convexdfo.cli import main
 from convexdfo.linear_models import InterpolationSet
 from convexdfo.problems import get_problem, problem_names, true_criticality
 from convexdfo.quadratic_models import Quadratics, assemble_system, fit_mfn_model
+from convexdfo.solver import SolverConfig, solve
 
 from test_solver import failing_at
 
@@ -129,6 +130,28 @@ class TestCliSolve:
         assert loaded.npoints == 6
         model = serialize.load_model(tmp_path / "final_model.json")
         assert isinstance(model, Quadratics) and model.U is not None
+
+    @pytest.mark.parametrize("model", ["mfn", "linreg"])
+    def test_final_model_is_the_solvers(self, tmp_path, capsys, model):
+        # final_model.json is the solver's final model: it fits final_set's
+        # values, and its H is the one the least-change fit produced.
+        main(["solve", "--problem", "quad2d", "--model", model, "--max-evals", "40",
+              "--seed", "0", "--out", str(tmp_path)])
+        assert "evals=40 " in capsys.readouterr().out
+        iset = serialize.load_set(tmp_path / "final_set.json")
+        data = json.loads((tmp_path / "final_model.json").read_text())
+        saved = serialize.model_from_dict(data)
+        problem = get_problem("quad2d")
+        kind = {"mfn": "mfn-quadratic", "linreg": "linear-regression"}[model]
+        _, record = solve(problem.f, problem.region, problem.x0,
+                          SolverConfig(model_kind=kind, max_evals=40, seed=0))
+        if model == "mfn":
+            np.testing.assert_allclose(saved.values(iset.points), iset.values,
+                                       rtol=1e-9, atol=1e-12)
+            assert data["H"] == record.final_model.hessians()[0].tolist()
+        else:
+            assert data["H"] is None
+        assert data["g"] == record.final_model.g[0].tolist()
 
     def test_unknown_problem_exits_2_naming_registry(self, tmp_path, capsys):
         code = main(["solve", "--problem", "zzz", "--out", str(tmp_path)])

@@ -88,6 +88,35 @@ class TestContains:
         assert geo.contains(ball, [1.0 + 1e-10, 0.0])
 
 
+class TestShrinkInto:
+    def test_step_along_a_halfspace_face_becomes_a_member(self):
+        # From a point on the face, a step along it rounds 1.1e-15 outside,
+        # and no shrink toward x removes that outward component: the
+        # region's projection of x + s is taken instead.
+        a = np.arange(1.0, 5.0) / 7.0 + 0.1
+        region = geo.Halfspaces([a], [1.0])
+        x = np.array([2.3626253286236953, 0.839929334794141, 0.3559843977807613,
+                      -0.12796053923261252])
+        s = np.array([-0.5215536298485419, 0.2666477708440711, -0.08784897323037666,
+                      0.10462412562041068])
+        assert region.is_member(x) and not region.is_member(x + s)
+        shrunk = geo.shrink_into(region, x, s)
+        assert region.is_member(x + shrunk)
+        assert np.linalg.norm(shrunk - s) <= 1e-14
+
+    def test_member_and_inward_steps(self):
+        # A member comes back as the same object; a step that a shrink
+        # toward x mends is shrunk along s.
+        region = geo.Box([0.0, 0.0], [0.3, 1.0])
+        x, s = np.array([0.1, 0.5]), np.array([0.1, 0.1])
+        assert geo.shrink_into(region, x, s) is s
+        s = np.array([0.2, 0.1])  # 0.1 + 0.2 rounds above 0.3
+        assert not region.is_member(x + s)
+        shrunk = geo.shrink_into(region, x, s)
+        assert region.is_member(x + shrunk)
+        np.testing.assert_allclose(shrunk / np.linalg.norm(shrunk), s / np.linalg.norm(s))
+
+
 class TestBallIntersectionProjection:
     def test_whole_space_reduces_to_ball(self):
         point = geo.TrustRegionProjector(geo.WholeSpace(2), np.zeros(2), 1.0)([[0.0, 2.0]])[0]
