@@ -7,7 +7,6 @@ solve       run the trust-region solver on a registry problem and write
 poisedness  check or improve a point-set file against a poisedness level
 bounds      sample observed-vs-guaranteed accuracy ratios over randomly
             generated poised sets and write a CSV report
-bench       batch solve over problems x model kinds x seeds
 
 Exit codes: 0 success/certified, 1 check failed or violations found,
 2 configuration or I/O error, 3 solver hard failure.
@@ -22,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +29,7 @@ from . import poisedness, serialize
 from .accuracy import fully_linear_report, mfn_accuracy_constants, regression_accuracy_constants
 from .geometry import ProjectionError, parse_region
 from .linear_models import InterpolationSet, build_design_matrix, fit_regression_model
-from .problems import get_problem, problem_names, true_criticality
+from .problems import get_problem, problem_names
 from .quadratic_models import SingularGeometryError, assemble_system, fit_mfn_model
 from .sampling import sample_feasible_in_ball
 from .solver import MODEL_KINDS, SolverConfig, SolverError, solve
@@ -310,40 +308,6 @@ def _clustered_set(region, x, delta, p, cluster_radius, rng):
     raise CliError("could not place a feasible cluster; widen the region or move x")
 
 
-def cmd_bench(args):
-    out = _out_dir(args)
-    names = args.problems.split(",") if args.problems else problem_names()
-    kinds = [_MODEL_ALIASES.get(k, k) for k in args.models.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    lines = ["problem,model_kind,seed,status,evals,final_f,final_pi_f"]
-    table = []
-    for name in names:
-        problem = _load_problem(name, None)
-        for kind in kinds:
-            if kind not in MODEL_KINDS:
-                raise CliError(f"unknown model kind {kind!r}")
-            for seed in seeds:
-                config = _checked(SolverConfig(
-                    model_kind=kind, seed=seed, max_evals=args.max_evals,
-                    npoints=args.points, delta_min=args.delta_min,
-                ), problem)
-                start = time.perf_counter()
-                x_final, record = solve(problem.f, problem.region, problem.x0, config)
-                wall = time.perf_counter() - start
-                pi_f = true_criticality(problem, x_final)
-                evals = record.evals
-                lines.append(
-                    f"{name},{kind},{seed},{record.status},{evals},"
-                    f"{float(problem.f(x_final))!r},{float(pi_f)!r}"
-                )
-                table.append((name, kind, seed, record.status, evals, wall))
-    (out / "bench.csv").write_text("\n".join(lines) + "\n")
-    for name, kind, seed, status, evals, wall in table:
-        print(f"{name:14s} {kind:18s} seed={seed} {status:10s} evals={evals:5d} {wall:6.2f}s")
-    print(f"bench report: {out / 'bench.csv'}")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="convexdfo",
@@ -392,16 +356,6 @@ def build_parser():
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_bounds)
-
-    pn = sub.add_parser("bench", help="batch runs across problems/models/seeds")
-    pn.add_argument("--problems", help="comma-separated names (default: all)")
-    pn.add_argument("--models", default="mfn")
-    pn.add_argument("--seeds", default="0")
-    pn.add_argument("--max-evals", type=int, default=500)
-    pn.add_argument("--points", type=int, default=None)
-    pn.add_argument("--delta-min", type=float, default=1e-6)
-    pn.add_argument("--out")
-    pn.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -551,28 +551,50 @@ class TrustRegionProjector:
         return out
 
 
-def shrink_into(region, x, s):
-    """Shrink the displacement ``s`` until ``x + s`` is an exact member.
+def _pulled(region, x, offset, u):
+    """First ``d = offset + u`` with ``x + d`` an exact member as ``u`` is
+    shrunk by factors whose gap to 1 starts at one ulp and doubles; None if
+    none is."""
+    gap = np.finfo(float).eps
+    while gap < 1.0:
+        u = u * (1.0 - gap)
+        gap *= 2.0
+        d = offset + u
+        if region.is_member(x + d):
+            return d
+    return None
 
-    ``x`` must be a member.  Projections are exact up to rounding, so a
-    point about to be evaluated can sit an ulp outside the region; each
-    try shrinks ``s`` by a factor whose gap to 1 starts at one ulp and
-    doubles.  When no shrink makes it a member (``x`` on the same
-    boundary, the step along it), the region's own projection of ``x + s``
-    is taken if that is an exact member.  ``s`` comes back unchanged when
-    ``x + s`` is already a member, or when neither gives one.
+
+def shrink_into(region, x, s, points=None):
+    """A displacement near ``s`` whose endpoint from ``x``, as rounded, is
+    an exact member.
+
+    ``x`` must be a member.  Projections are exact only up to rounding,
+    and Dykstra's only to ``DYKSTRA_TOL``, so a point about to be evaluated
+    can sit just outside the region.  ``s`` itself comes back when
+    ``x + s`` is a member.  Otherwise, in turn: ``x + s`` pulled toward
+    ``x`` by factors whose gap to 1 starts at one ulp and doubles; the
+    region's own projection of ``x + s`` (``x`` on the same boundary, the
+    step along it); and ``x + s`` pulled the same way toward the centroid
+    of the exact members among ``points``.  When none is a member the
+    displacement is zero, so the endpoint is ``x``; it is never an ``s``
+    that ends outside.
     """
-    shrunk, shrink = s, np.finfo(float).eps
-    while not region.is_member(x + shrunk):
-        if shrink >= 1.0:
-            try:
-                moved = project(region, x + s).point - x
-            except ProjectionError:
-                return s
-            return moved if region.is_member(x + moved) else s
-        shrunk = shrunk * (1.0 - shrink)
-        shrink *= 2.0
-    return shrunk
+    if region.is_member(x + s):
+        return s
+    d = _pulled(region, x, 0.0, s)
+    if d is None:
+        try:
+            moved = project(region, x + s).point - x
+            d = moved if region.is_member(x + moved) else None
+        except ProjectionError:
+            pass
+    if d is None and points is not None:
+        members = points[region.is_member_batch(points)]
+        if len(members):
+            centre = members.mean(axis=0)
+            d = _pulled(region, x, centre - x, x + s - centre)
+    return np.zeros_like(s) if d is None else d
 
 
 # ---------------------------------------------------------------------------

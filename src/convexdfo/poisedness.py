@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import TrustRegionProjector, contains, shrink_into
+from .geometry import TrustRegionProjector, shrink_into
 from .linear_models import InterpolationSet, RegressionBasis, build_design_matrix
 from .quadratic_models import MfnSystem, SignedLogDet, assemble_system
 from .sampling import sample_feasible_in_ball
@@ -194,12 +194,13 @@ def _misplaced(points, region, x, radius):
     """Why some point is out of place around ``x``; ``""`` when none is.
 
     A point is misplaced outside B(x, radius), up to a slack relative to the
-    radius plus the rounding of stored coordinates of size ||x||, or outside
-    the region at the default membership tolerance.
+    radius plus the rounding of stored coordinates of size ||x||, or when it
+    is not an exact member of the region.
     """
+    region._check_dim(points)
     if _outside_ball(points, x, radius):
         return "point outside beta * min(radius, 1) ball"
-    if not all(contains(region, y) for y in points):
+    if not region.is_member_batch(points).all():
         return "infeasible interpolation point"
     return ""
 
@@ -376,8 +377,12 @@ def _repair(work, region, lam, rng, model_kind, cap=None):
                 f"(worst |l_t| = {cert.lambda_observed:.3e})", swap_log)
         else:
             t, y_new = cert.witness_index, cert.witness_point
-        if not region.is_member(y_new):  # rounding left it just outside
-            y_new = work.base + shrink_into(region, work.base, y_new - work.base)
+        if not region.is_member(y_new):  # its projection stopped just outside
+            d = shrink_into(region, work.base, y_new - work.base, work.points)
+            if not d.any():
+                raise ThinRegionError(f"no exact member of the region found near the "
+                                      f"swap candidate for point {t}")
+            y_new = work.base + d
         before, work = work.system, _factored(work.replace_point(t, y_new), model_kind)
         if not work.system.nondegenerate:
             raise ThinRegionError(f"region too thin for invertible geometry: pivot ratio "
@@ -397,7 +402,7 @@ def initial_invertible_set(region, x, delta, p, rng=None, model_kind="mfn-quadra
     point comes back as it is, with no sweep.
     """
     x = np.asarray(x, dtype=float)
-    if not contains(region, x):
+    if not region.is_member(x):
         raise ValueError("base point must be feasible")
     # The structured pattern is nondegenerate by construction.
     iset = InterpolationSet(x, delta, structured_initial_points(x, delta, p, region))
@@ -425,7 +430,7 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None,
         raise ValueError("improvement requires a poisedness level above 1")
     rng = _as_rng(rng)
     x = np.asarray(x, dtype=float)
-    if not contains(region, x):
+    if not region.is_member(x):
         raise ValueError("base point must be feasible")
 
     work = None

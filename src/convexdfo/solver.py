@@ -338,13 +338,15 @@ def _least_change_fit(iset, model_kind, prior):
 def solve(f, region, x0, config=None):
     """Run the trust-region iteration; returns ``(x_final, RunRecord)``.
 
-    ``f`` is called only at feasible points.  An infeasible ``x0`` is
-    projected into the region first, or replaced by a member within
-    ``delta_min`` of its projection where that is not an exact member
-    (noted in the record).  Terminates when the evaluation budget is spent
-    or the trust region shrinks below ``delta_min``.  Hard subsolver failures, and an ``f`` that raises or
-    returns a value that is not finite, end the run with status ``"error"``
-    and raise :class:`SolverError` carrying the partial record.
+    ``f`` is called only at exact members of the region
+    (``region.is_member``).  An infeasible ``x0`` is projected into the
+    region first, or replaced by a member within ``delta_min`` of its
+    projection where that is not an exact member (noted in the record).
+    Terminates when the evaluation budget is spent or the trust region
+    shrinks below ``delta_min``.  Hard subsolver failures, and an ``f``
+    that raises or returns a value that is not finite, end the run with
+    status ``"error"`` and raise :class:`SolverError` carrying the partial
+    record.
     """
     config = config or SolverConfig()
     config.validate()
@@ -424,7 +426,8 @@ def solve(f, region, x0, config=None):
                 ))
                 continue
 
-            step = solve_trust_region_step(model, x, region, delta, config.c1, pi_m=pi_m)
+            step = solve_trust_region_step(model, x, region, delta, config.c1, pi_m=pi_m,
+                                           points=iset.points)
             if step.predicted_reduction > 0.0:
                 trial = x + step.step
                 f_trial = oracle(trial)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ProjectionError, TrustRegionProjector, WholeSpace, contains, shrink_into
+from .geometry import ProjectionError, TrustRegionProjector, WholeSpace, shrink_into
 from .quadratic_models import Quadratics
 
 __all__ = [
@@ -72,7 +72,7 @@ def criticality_measure(g, x, region, radius=1.0):
     """
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
-    if not contains(region, x):
+    if not region.is_member(x):
         raise ValueError("criticality measure requires a feasible base point")
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
@@ -188,14 +188,16 @@ def _descend(model, x, region, radius, target):
     return Y[0] - x, m_x - model.value(Y[0])
 
 
-def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None):
+def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None, points=None):
     """Feasible step in B(x, delta) achieving generalized Cauchy decrease.
 
-    Runs :func:`_descend` on the model with the Cauchy target, then
-    shrinks the step, if need be, until ``x + step`` as rounded is an exact
-    member of the region (see :func:`~convexdfo.geometry.shrink_into`).
-    ``satisfied_cauchy`` records whether the decrease condition holds for
-    the returned step.
+    Runs :func:`_descend` on the model with the Cauchy target.  Where
+    ``x + step`` as rounded is not an exact member of the region, the step
+    is pulled toward ``x``, then toward the centroid of the exact members
+    among ``points`` (see :func:`~convexdfo.geometry.shrink_into`); when
+    neither gives a member the step is zero, with no predicted reduction,
+    so nothing is evaluated.  ``satisfied_cauchy`` records whether the
+    decrease condition holds for the returned step.
     """
     x = np.asarray(x, dtype=float)
     if pi_m is None:
@@ -206,7 +208,7 @@ def solve_trust_region_step(model, x, region, delta, c1=0.1, pi_m=None):
     best_s, best_red = _descend(model, x, region, delta, target)
 
     # f is evaluated at x + step as rounded, which must be a member.
-    shrunk = shrink_into(region, x, best_s)
+    shrunk = shrink_into(region, x, best_s, points)
     if shrunk is not best_s:
         best_s, best_red = shrunk, model.value(x) - model.value(x + shrunk)
 

@@ -226,6 +226,23 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "npoints=100" in err
 
+    def test_negative_delta_min_exits_2(self, tmp_path, capsys):
+        code = main(["solve", "--problem", "quad2d", "--delta-min", "-1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "delta_min" in err
+        assert not (tmp_path / "runrecord.csv").exists()
+
+    def test_env_var_default_out(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CONVEXDFO_OUT_DIR", str(tmp_path / "envout"))
+        code = main([
+            "solve", "--problem", "affine2d", "--model", "mfn", "--points", "6",
+            "--max-evals", "60", "--seed", "0",
+        ])
+        assert code == 0
+        assert (tmp_path / "envout" / "runrecord.csv").exists()
+
     def test_regression_level_below_sqrt_points_runs(self, tmp_path, capsys):
         # A regression run repairs on its own basis, so a level of 2 below
         # sqrt(6) is valid.
@@ -354,46 +371,3 @@ class TestCliBounds:
         assert main([
             "bounds", "--problem", "rosenbrock2d", "--out", str(tmp_path),
         ]) == 2
-
-
-class TestCliBench:
-    def test_bench_writes_report(self, tmp_path, capsys):
-        code = main([
-            "bench", "--problems", "quad2d,affine2d", "--models", "mfn",
-            "--seeds", "0", "--max-evals", "120", "--points", "6",
-            "--out", str(tmp_path),
-        ])
-        assert code == 0
-        lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
-        assert lines[0] == "problem,model_kind,seed,status,evals,final_f,final_pi_f"
-        assert len(lines) == 3
-
-    def test_bench_deterministic_csv(self, tmp_path):
-        for sub in ("a", "b"):
-            (tmp_path / sub).mkdir()
-            main([
-                "bench", "--problems", "quad2d", "--models", "mfn", "--seeds", "0",
-                "--max-evals", "100", "--points", "6", "--out", str(tmp_path / sub),
-            ])
-        assert (tmp_path / "a" / "bench.csv").read_bytes() == \
-               (tmp_path / "b" / "bench.csv").read_bytes()
-
-    @pytest.mark.parametrize("flag, value, says", [
-        ("--points", "100", "npoints=100"),
-        ("--delta-min", "-1", "delta_min"),
-    ])
-    def test_bad_config_value_exits_2(self, flag, value, says, tmp_path, capsys):
-        code = main(["bench", "--problems", "quad2d", flag, value, "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and says in err
-        assert not (tmp_path / "bench.csv").exists()
-
-    def test_env_var_default_out(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONVEXDFO_OUT_DIR", str(tmp_path / "envout"))
-        code = main([
-            "solve", "--problem", "affine2d", "--model", "mfn", "--points", "6",
-            "--max-evals", "60", "--seed", "0",
-        ])
-        assert code == 0
-        assert (tmp_path / "envout" / "runrecord.csv").exists()

@@ -104,6 +104,23 @@ class TestShrinkInto:
         assert region.is_member(x + shrunk)
         assert np.linalg.norm(shrunk - s) <= 1e-14
 
+    def test_step_that_neither_shrink_nor_dykstra_mends_is_pulled_to_the_centroid(self):
+        # A solver step on the simplex from x, 9.5e-12 inside the face
+        # x_1 = 0, ends 4.8e-11 beyond that face next to the vertex (0, 1).
+        # No shrink toward x gets back inside, and the Dykstra projection
+        # stops outside too: the end is pulled toward the centroid of the
+        # members among the set's points, or the step is zero.
+        region = geo.Halfspaces(np.vstack([-np.eye(2), np.ones(2)]), np.r_[0.0, 0.0, 1.0])
+        x = np.array([9.464679040505075e-12, 0.7096659363119987])
+        s = np.array([-5.7433752198576826e-11, 0.2903340637359705])
+        assert region.is_member(x) and not region.is_member(x + s)
+        assert not region.is_member(geo.project(region, x + s).point)
+        points = x + 0.1 * np.array([[0, 0], [1, 0], [0, -1], [1, -1], [-1, 0]])
+        pulled = geo.shrink_into(region, x, s, points)
+        assert region.is_member(x + pulled)
+        assert np.linalg.norm(pulled - s) <= 1e-8
+        np.testing.assert_array_equal(geo.shrink_into(region, x, s), np.zeros(2))
+
     def test_member_and_inward_steps(self):
         # A member comes back as the same object; a step that a shrink
         # toward x mends is shrunk along s.

@@ -63,6 +63,32 @@ def random_instance(kind, n, log_scale, seed):
     return region, centre, f, points
 
 
+def polyhedral_or_curved_region(kind, n, rng):
+    """A random simplex, box cut by a ball, or two-ball lens, and a point
+    inside it."""
+    if kind == "simplex":
+        region = geo.Halfspaces(np.vstack([-np.eye(n), np.ones(n)]), np.r_[np.zeros(n), 1.0])
+        return region, 0.9 * rng.dirichlet(np.ones(n + 1))[:n]
+    centre = rng.standard_normal(n)
+    if kind == "box-ball":
+        half = 0.2 + rng.random(n)
+        radius = float(np.linalg.norm(half)) * (0.6 + 0.3 * rng.random())
+        h = half * rng.uniform(-1.0, 1.0, n)
+        x = centre + 0.9 * min(1.0, radius / float(np.linalg.norm(h))) * h
+        return geo.Intersection([geo.Box(centre - half, centre + half),
+                                 geo.Ball(centre, radius)]), x
+    # Two balls whose spheres cross; x lies within half the lens's
+    # half-width h of the midpoint of its axis, which is h from both spheres.
+    r1, r2 = 0.5 + rng.random(2)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    gap = abs(r1 - r2) + (0.2 + 0.6 * rng.random()) * (r1 + r2 - abs(r1 - r2))
+    h = 0.5 * (r1 + r2 - gap)
+    v = rng.standard_normal(n)
+    x = centre + 0.5 * (gap - r2 + r1) * u + 0.5 * h * rng.random() * v / np.linalg.norm(v)
+    return geo.Intersection([geo.Ball(centre, r1), geo.Ball(centre + gap * u, r2)]), x
+
+
 # Model kinds and poisedness levels for the property tests: a regression
 # run at 1.2 repairs below sqrt(npoints).
 MODELS = [("mfn-quadratic", 10.0), ("linear-regression", 10.0), ("linear-regression", 1.2)]
@@ -385,6 +411,23 @@ class TestEvaluations:
                               delta_min=1e-8 * scale, max_evals=30, seed=0,
                               model_kind=model_kind, poisedness=lam)
         solve(f, region, centre, config)
+        assert all(region.is_member(y) for y in points)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["simplex", "box-ball", "lens"]), n=st.integers(2, 3),
+           delta0=st.sampled_from([0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_dykstra_regions_evaluate_only_exact_members(self, kind, n, delta0, seed):
+        # Their trust-region projections take Dykstra's scheme, which stops
+        # at a tolerance, so steps and repair points can land just outside.
+        rng = np.random.default_rng(seed)
+        region, x = polyhedral_or_curved_region(kind, n, rng)
+        target = x + rng.standard_normal(n)
+        f, points = recording(lambda y: float(np.sum((y - target) ** 2)))
+        try:
+            solve(f, region, x, SolverConfig(delta0=delta0, npoints=2 * n + 1, max_evals=40,
+                                             seed=seed))
+        except SolverError:  # the one failure a solve may end in
+            pass
         assert all(region.is_member(y) for y in points)
 
     def test_single_halfspace_evaluations_are_exact_members(self):

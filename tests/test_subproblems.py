@@ -189,6 +189,27 @@ class TestTrustRegionStep:
         assert step.predicted_reduction == 0.0
         assert step.satisfied_cauchy
 
+    @pytest.mark.parametrize("with_points", [True, False], ids=["centroid", "zero"])
+    def test_step_that_ends_outside_is_pulled_inside_or_zero(self, with_points, monkeypatch):
+        # The descent's step ends 4.8e-11 outside the simplex, where neither
+        # a shrink toward x nor the Dykstra projection gets back inside
+        # (the repro of TestShrinkInto): it is pulled toward the centroid of
+        # the set's members, or with no set it is zero and predicts nothing.
+        region = geo.Halfspaces(np.vstack([-np.eye(2), np.ones(2)]), np.r_[0.0, 0.0, 1.0])
+        x = np.array([9.464679040505075e-12, 0.7096659363119987])
+        s = np.array([-5.7433752198576826e-11, 0.2903340637359705])
+        model = linear_model([1.0, -1.0], x)
+        monkeypatch.setattr(sp, "_descend", lambda *args: (s, model.value(x) - model.value(x + s)))
+        points = x + 0.1 * np.array([[0, 0], [1, 0], [0, -1], [1, -1]]) if with_points else None
+        step = sp.solve_trust_region_step(model, x, region, 0.5, pi_m=1.0, points=points)
+        assert region.is_member(x + step.step)
+        assert step.predicted_reduction == model.value(x) - model.value(x + step.step)
+        if with_points:
+            assert np.linalg.norm(step.step - s) <= 1e-8 and step.predicted_reduction > 0.0
+        else:
+            np.testing.assert_array_equal(step.step, np.zeros(2))
+            assert step.predicted_reduction == 0.0
+
     def test_interior_quadratic_reaches_minimizer(self):
         H = np.diag([1.0, 2.0])
         g = np.array([0.3, -0.4])
