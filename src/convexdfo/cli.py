@@ -120,6 +120,8 @@ def _checked(config, problem):
 def _load_problem(problem_name, region_spec):
     if not problem_name:
         raise CliError("no problem given (use --problem or a config file)")
+    if region_spec is not None and not isinstance(region_spec, str):
+        raise CliError(f"bad region spec: {region_spec!r}")
     try:
         return get_problem(problem_name, region_spec)
     except KeyError as exc:

@@ -2,27 +2,31 @@
 
 Each iteration builds an interpolation model on the current point set,
 measures model criticality, and either (a) repairs the sample geometry when
-the model looks critical but cannot be trusted at the current radius,
-first cutting the radius of a fully linear model straight to ``mu * pi_m``
-(clamped between one ``gamma_dec`` step and a fixed fraction of the
-radius) so that one rebuild serves a whole criticality phase, or (b) takes
-a trust-region step and accepts or rejects it by the
-actual-versus-predicted reduction ratio.  A successful step grows
-``delta`` to ``gamma_inc * ||s||`` when that is larger, never past
-``delta_max``.  Model accuracy ("fully linear" here) is operationalized as
-the poisedness certificate on the point set's own sampling radius ``r``
-(``InterpolationSet.radius``): the set is poised at the configured level
-on the feasible part of B(x, min(r, 1)), with every point inside that
-ball.  A set is kept with ``delta <= r <= delta / gamma_dec``: an
-unsuccessful step cuts ``delta`` but leaves in place a set whose ``r`` was
-``delta`` before the cut, and after a successful step the set, recentred
-on the new iterate, keeps the smallest such ``r`` that holds all its
-points.  Both swap in only the trial point.  At any other cut, after a
-successful step whose set fits no such ``r``, and after criticality rows,
-``r`` becomes ``delta``.  So ``r`` is always within one cut of ``delta``, and the
-accuracy constants of a set poised on B(x, r) (errors ``kappa_ef * r^2``
-and ``kappa_eg * r``) give a model fully linear on B(x, delta) with
-``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
+the model looks critical but cannot be trusted at the current radius, first
+cutting the radius of a fully linear model toward ``mu * pi_m``, or (b)
+takes a trust-region step and accepts or rejects it by the
+actual-versus-predicted reduction ratio.  A criticality cut is at least one
+``gamma_dec`` step and at most a fall to ``_CRITICALITY_FLOOR`` (1/16) of
+the radius, and each criticality row rebuilds the set at the new radius, so
+a phase whose ``mu * pi_m`` lies below that floor costs one rebuild per
+cut.  A step with ratio ``rho >= eta`` is accepted; a very successful one
+(``rho >= _VERY_SUCCESSFUL`` = 0.7) grows ``delta`` to
+``gamma_inc * ||s||`` when that is larger, never past ``delta_max``, and
+any other accepted step leaves ``delta`` as it is.  Model accuracy ("fully
+linear" here) is operationalized as the poisedness certificate on the point
+set's own sampling radius ``r`` (``InterpolationSet.radius``): the set is
+poised at the configured level on the feasible part of B(x, min(r, 1)),
+with every point inside that ball.  A set is kept with
+``delta <= r <= delta / gamma_dec``: an unsuccessful step cuts ``delta``
+but leaves in place a set whose ``r`` was ``delta`` before the cut, and
+after a successful step the set, recentred on the new iterate, keeps the
+smallest such ``r`` that holds all its points.  Both swap in only the trial
+point.  At any other cut, after a successful step whose set fits no such
+``r``, and after criticality rows, ``r`` becomes ``delta``.  So ``r`` is
+always within one cut of ``delta``, and the accuracy constants of a set
+poised on B(x, r) (errors ``kappa_ef * r^2`` and ``kappa_eg * r``) give a
+model fully linear on B(x, delta) with ``kappa_ef / gamma_dec^2`` and
+``kappa_eg / gamma_dec``.
 
 Models come in two kinds: linear regression on the sample set, or
 minimum-Frobenius-norm quadratic interpolation.  Quadratic models are
@@ -52,6 +56,7 @@ step's swap or a recentring.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,9 +95,19 @@ STEP_KINDS = ("criticality", "successful", "model-improving", "unsuccessful")
 
 CSV_COLUMNS = ("k", "f", "delta", "pi_m", "rho", "step_kind", "evals", "fully_linear")
 
+# SolverConfig fields by number type; validate rejects any other type, bool too.
+_REAL_FIELDS = ("delta0", "delta_max", "gamma_dec", "gamma_inc", "eps_criticality", "mu",
+                "eta", "poisedness", "c1", "delta_min")
+_INTEGER_FIELDS = ("npoints", "max_evals", "seed")
+
 # Floor of the criticality cut as a fraction of the current radius: a
 # model with pi_m = 0 would otherwise send delta to 0 in one step.
 _CRITICALITY_FLOOR = 0.0625
+
+# Ratio at or above which a successful step is very successful and may grow
+# delta (Conn, Gould & Toint 2000, Alg. 6.1.1; DFO-LS's eta_2).  Below it an
+# accepted step leaves delta as it is.
+_VERY_SUCCESSFUL = 0.7
 
 # Bound on ||H_prev||_2 of the least-change prior; above it the fit starts
 # from H = 0, so the model Hessians, and the accuracy constants that
@@ -127,8 +142,12 @@ class SolverConfig:
     and ``mu * pi_m`` is also the radius that step cuts a fully linear
     model's trust region to (clamped between one ``gamma_dec`` step and a
     fixed fraction of the radius); ``eta`` is the acceptance threshold.  A
-    successful step sets ``delta`` to
-    ``min(max(delta, gamma_inc * ||s||), delta_max)``.
+    very successful step (ratio at least 0.7) sets ``delta`` to
+    ``min(max(delta, gamma_inc * ||s||), delta_max)``; any other accepted
+    step keeps ``delta``.  With ``eta >= 0.7`` every accepted step is very
+    successful.  ``validate`` raises ``ValueError`` for a value out of range
+    and for a number of the wrong type: ``npoints``, ``max_evals`` and
+    ``seed`` take integers, the other numbers reals, and none a ``bool``.
     """
 
     delta0: float = 1.0
@@ -147,6 +166,15 @@ class SolverConfig:
     seed: int = 0
 
     def validate(self):
+        for name in _REAL_FIELDS + _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "npoints":
+                continue
+            integer = name in _INTEGER_FIELDS
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integer else numbers.Real):
+                kind = "an integer" if integer else "a real number"
+                raise ValueError(f"{name} must be {kind}, not {value!r}")
         if not 0 < self.delta0 <= self.delta_max:
             raise ValueError("need 0 < delta0 <= delta_max")
         if not 0 < self.gamma_dec < 1 < self.gamma_inc:
@@ -161,6 +189,8 @@ class SolverConfig:
             raise ValueError("need 0 < c1 < 1")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0 < self.delta_min <= self.delta0:
             raise ValueError("need 0 < delta_min <= delta0")
         if self.model_kind not in MODEL_KINDS:
@@ -275,8 +305,9 @@ def _criticality_radius(delta, pi_m, mu, gamma_dec):
     """Radius after a fully linear criticality row: mu * pi_m, clamped.
 
     The cut is at least one ``gamma_dec`` step and at most a fall to
-    ``_CRITICALITY_FLOOR * delta``, so the set is rebuilt once per
-    criticality phase rather than once per halving.
+    ``_CRITICALITY_FLOOR * delta``.  The row rebuilds the set at this
+    radius, so a phase that reaches ``mu * pi_m`` in one cut costs one
+    rebuild, and one that needs more cuts costs one rebuild per cut.
     """
     return min(gamma_dec * delta, max(mu * pi_m, _CRITICALITY_FLOOR * delta))
 
@@ -438,11 +469,12 @@ def solve(f, region, x0, config=None):
 
             if rho is not None and rho >= config.eta:
                 step_kind = "successful"
-                # Delta never shrinks here and grows only as far as
-                # gamma_inc * ||s||; the set keeps the smallest radius
+                # Delta never shrinks here; a very successful step grows it as
+                # far as gamma_inc * ||s||.  The set keeps the smallest radius
                 # within one cut of delta that holds it.
-                delta = min(max(delta, config.gamma_inc * float(np.linalg.norm(trial - x))),
-                            config.delta_max)
+                if rho >= _VERY_SUCCESSFUL:
+                    delta = min(max(delta, config.gamma_inc * float(np.linalg.norm(trial - x))),
+                                config.delta_max)
                 iset = _swap_farthest(iset, trial, trial, f_trial)
                 iset = iset.with_geometry(
                     trial, _recentred_radius(iset.points, trial, delta, config.gamma_dec))

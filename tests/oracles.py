@@ -22,6 +22,42 @@ def successful_step_lengths(record, evaluated):
     return lengths
 
 
+def check_radius_discipline(record, config, evaluated):
+    """Assert the trust-region radius rule on each row and the row after it.
+
+    - successful, rho >= 0.7: delta grows to gamma_inc * ||s|| when that is
+      larger, never past delta_max;
+    - successful, eta <= rho < 0.7: delta stays;
+    - unsuccessful: one gamma_dec cut;
+    - model-improving, and criticality without a certified model: stays;
+    - criticality with a fully linear model: a cut to mu * pi_m, at least
+      one gamma_dec step and at most a fall to 1/16 of delta.
+
+    Returns the number of middle-band successes whose step would have
+    grown delta, the rows where the 0.7 threshold shows.
+    """
+    held = 0
+    steps = successful_step_lengths(record, evaluated)
+    for row, nxt in zip(record.rows, record.rows[1:]):
+        delta, after = row.delta, nxt.delta
+        if row.step_kind == "successful":
+            assert row.rho >= config.eta
+            grown = min(max(delta, config.gamma_inc * steps[row.k]), config.delta_max)
+            if row.rho >= 0.7:
+                assert after == grown
+            else:
+                assert after == delta
+                held += grown > delta
+        elif row.step_kind == "unsuccessful":
+            assert after == config.gamma_dec * delta
+        elif row.step_kind == "criticality" and row.fully_linear:
+            assert after == min(config.gamma_dec * delta,
+                                max(config.mu * row.pi_m, delta / 16))
+        else:
+            assert after == delta
+    return held
+
+
 def grid_project(region, y, lo, hi, levels=16, base_cells=81, zoom=3.0):
     """Projection oracle: dense grid over [lo, hi]^n with nested refinement.
 

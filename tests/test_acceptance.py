@@ -15,18 +15,17 @@ from convexdfo import geometry as geo
 from convexdfo import linear_models as lm
 from convexdfo import poisedness as po
 from convexdfo import quadratic_models as qm
-from convexdfo import solver as sv
 from convexdfo import subproblems as sp
 from convexdfo.cli import main as cli_main
 from convexdfo.problems import get_problem, true_criticality
 from convexdfo.solver import SolverConfig, solve
 
 from oracles import (
+    check_radius_discipline,
     dense_signed_logdet,
     full_quadratic_interpolation,
     grid_criticality,
     grid_lagrange_max,
-    successful_step_lengths,
 )
 
 
@@ -342,27 +341,13 @@ def test_criterion_8_subproblem_oracles():
 
 
 def _check_run_discipline(problem, record, config, evaluated):
+    """Feasible evaluations, monotone f and the radius rule; returns the
+    number of middle-band successes that held delta."""
     for y in evaluated:
         assert problem.region.is_member(y), "infeasible evaluation"
     fs = [row.f for row in record.rows]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:])), "f not monotone"
-    steps = successful_step_lengths(record, evaluated)
-    for row, nxt in zip(record.rows, record.rows[1:]):
-        if row.step_kind == "successful":
-            # Delta grows to gamma_inc * ||s|| when that is larger.
-            assert nxt.delta == min(max(row.delta, config.gamma_inc * steps[row.k]),
-                                    config.delta_max)
-        elif row.step_kind == "unsuccessful":
-            assert nxt.delta == config.gamma_dec * row.delta
-        elif row.step_kind == "model-improving":
-            assert nxt.delta == row.delta
-        elif row.fully_linear:
-            # Criticality cuts straight to mu * pi_m, between one gamma_dec
-            # step and a fall to _CRITICALITY_FLOOR of the radius.
-            assert nxt.delta == min(config.gamma_dec * row.delta, max(
-                config.mu * row.pi_m, sv._CRITICALITY_FLOOR * row.delta))
-        else:
-            assert nxt.delta == row.delta
+    return check_radius_discipline(record, config, evaluated)
 
 
 def _solve_tracked(problem, config):
@@ -407,7 +392,8 @@ def test_criterion_9_end_to_end_solves():
     pi_f = true_criticality(problem, x)
     assert pi_f <= 1e-3, f"rosenbrock2d pi_f = {pi_f:.2e}"
     assert elapsed < 30.0, f"rosenbrock2d took {elapsed:.1f}s"
-    _check_run_discipline(problem, record, config, evaluated)
+    # Successes with eta <= rho < 0.7 hold delta in this run.
+    assert _check_run_discipline(problem, record, config, evaluated) > 0
     results.append(f"rosenbrock2d pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
 
     report(9, "; ".join(results))

@@ -251,11 +251,23 @@ class TestCliSolve:
         assert code == 0
         assert "model=linear-regression" in capsys.readouterr().out
 
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, name", [
+        ("warp_speed = 9", "warp_speed"),
+        ("max_evals = 1e3", "max_evals"),
+        ("seed = 1.5", "seed"),
+        ("npoints = 6.0", "npoints"),
+        ("eta = abc", "eta"),
+        ("seed = -1", "seed"),
+        ("region = 5", "region"),
+    ], ids=["unknown-key", "float-max-evals", "float-seed", "float-npoints", "text-eta",
+            "negative-seed", "number-region"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, line, name):
+        # An unknown key, or a value of the wrong type or sign, is one error line.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem = quad2d\nwarp_speed = 9\n")
+        cfg.write_text(f"problem = quad2d\n{line}\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "warp_speed" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
 
 
 class TestCliPoisedness:
