@@ -3,13 +3,14 @@
 Each iteration builds an interpolation model on the current point set,
 measures model criticality, and either (a) repairs the sample geometry when
 the model looks critical but cannot be trusted at the current radius, first
-cutting the radius of a fully linear model toward ``mu * pi_m``, or (b)
+cutting the radius of a fully linear model to ``mu * pi_m``, or (b)
 takes a trust-region step and accepts or rejects it by the
 actual-versus-predicted reduction ratio.  A criticality cut is at least one
-``gamma_dec`` step and at most a fall to ``_CRITICALITY_FLOOR`` (1/16) of
-the radius, and each criticality row rebuilds the set at the new radius, so
-a phase whose ``mu * pi_m`` lies below that floor costs one rebuild per
-cut.  A step with ratio ``rho >= eta`` is accepted; a very successful one
+``gamma_dec`` step and otherwise lands on ``mu * pi_m`` (``delta_min`` where
+that is larger) at once, so a phase costs at most one rebuild: a fully
+linear set is kept through a one-step cut, as at an unsuccessful row, and
+rebuilt at the new radius after a deeper one.  A step with ratio
+``rho >= eta`` is accepted; a very successful one
 (``rho >= _VERY_SUCCESSFUL`` = 0.7) grows ``delta`` to
 ``gamma_inc * ||s||`` when that is larger, never past ``delta_max``, and
 any other accepted step leaves ``delta`` as it is.  Model accuracy ("fully
@@ -17,12 +18,14 @@ linear" here) is operationalized as the poisedness certificate on the point
 set's own sampling radius ``r`` (``InterpolationSet.radius``): the set is
 poised at the configured level on the feasible part of B(x, min(r, 1)),
 with every point inside that ball.  A set is kept with
-``delta <= r <= delta / gamma_dec``: an unsuccessful step cuts ``delta``
-but leaves in place a set whose ``r`` was ``delta`` before the cut, and
-after a successful step the set, recentred on the new iterate, keeps the
-smallest such ``r`` that holds all its points.  Both swap in only the trial
-point.  At any other cut, after a successful step whose set fits no such
-``r``, and after criticality rows, ``r`` becomes ``delta``.  So ``r`` is
+``delta <= r <= delta / gamma_dec``: an unsuccessful step, and a one-step
+criticality cut of a fully linear model, cut ``delta`` but leave in place a
+set whose ``r`` was ``delta`` before the cut, and after a successful step
+the set, recentred on the new iterate, keeps the smallest such ``r`` that
+holds all its points.  Steps swap in only the trial point; a criticality
+row that keeps its set swaps in nothing and spends no evaluation.  At any
+other cut, after a successful step whose set fits no such ``r``, and after
+a criticality row that rebuilds, ``r`` becomes ``delta``.  So ``r`` is
 always within one cut of ``delta``, and the accuracy constants of a set
 poised on B(x, r) (errors ``kappa_ef * r^2`` and ``kappa_eg * r``) give a
 model fully linear on B(x, delta) with ``kappa_ef / gamma_dec^2`` and
@@ -56,6 +59,7 @@ step's swap or a recentring.
 from __future__ import annotations
 
 import io
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -100,10 +104,6 @@ _REAL_FIELDS = ("delta0", "delta_max", "gamma_dec", "gamma_inc", "eps_criticalit
                 "eta", "poisedness", "c1", "delta_min")
 _INTEGER_FIELDS = ("npoints", "max_evals", "seed")
 
-# Floor of the criticality cut as a fraction of the current radius: a
-# model with pi_m = 0 would otherwise send delta to 0 in one step.
-_CRITICALITY_FLOOR = 0.0625
-
 # Ratio at or above which a successful step is very successful and may grow
 # delta (Conn, Gould & Toint 2000, Alg. 6.1.1; DFO-LS's eta_2).  Below it an
 # accepted step leaves delta as it is.
@@ -140,14 +140,15 @@ class SolverConfig:
     certify and to repair point sets, on the Lagrange polynomials of the
     model kind.  ``eps_criticality`` and ``mu`` gate the criticality step,
     and ``mu * pi_m`` is also the radius that step cuts a fully linear
-    model's trust region to (clamped between one ``gamma_dec`` step and a
-    fixed fraction of the radius); ``eta`` is the acceptance threshold.  A
-    very successful step (ratio at least 0.7) sets ``delta`` to
-    ``min(max(delta, gamma_inc * ||s||), delta_max)``; any other accepted
-    step keeps ``delta``.  With ``eta >= 0.7`` every accepted step is very
-    successful.  ``validate`` raises ``ValueError`` for a value out of range
+    model's trust region to in one cut (at least one ``gamma_dec`` step; a
+    deeper cut stops at ``delta_min``); ``eta`` is the acceptance
+    threshold.  A very successful step (ratio at least 0.7) sets ``delta``
+    to ``min(max(delta, gamma_inc * ||s||), delta_max)``; any other
+    accepted step keeps ``delta``.  With ``eta >= 0.7`` every accepted step
+    is very successful.  ``validate`` raises ``ValueError`` for a value out of range
     and for a number of the wrong type: ``npoints``, ``max_evals`` and
-    ``seed`` take integers, the other numbers reals, and none a ``bool``.
+    ``seed`` take integers, the other numbers finite reals, and none a
+    ``bool``.
     """
 
     delta0: float = 1.0
@@ -175,6 +176,12 @@ class SolverConfig:
                     value, numbers.Integral if integer else numbers.Real):
                 kind = "an integer" if integer else "a real number"
                 raise ValueError(f"{name} must be {kind}, not {value!r}")
+            try:
+                finite = integer or math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if not 0 < self.delta0 <= self.delta_max:
             raise ValueError("need 0 < delta0 <= delta_max")
         if not 0 < self.gamma_dec < 1 < self.gamma_inc:
@@ -301,15 +308,15 @@ def _with_values(oracle, new, old, x, fx):
     return new.with_values(values)
 
 
-def _criticality_radius(delta, pi_m, mu, gamma_dec):
-    """Radius after a fully linear criticality row: mu * pi_m, clamped.
+def _criticality_radius(delta, pi_m, mu, gamma_dec, delta_min):
+    """Radius after a fully linear criticality row: ``mu * pi_m``, clamped.
 
-    The cut is at least one ``gamma_dec`` step and at most a fall to
-    ``_CRITICALITY_FLOOR * delta``.  The row rebuilds the set at this
-    radius, so a phase that reaches ``mu * pi_m`` in one cut costs one
-    rebuild, and one that needs more cuts costs one rebuild per cut.
+    The cut is at least one ``gamma_dec`` step and lands on ``mu * pi_m``,
+    or on ``delta_min`` where that is larger, in one cut.  So ``pi_m = 0``
+    sends ``delta`` to ``delta_min``, not to 0, and the run ends only if the
+    model there again gives ``mu * pi_m < delta_min``.
     """
-    return min(gamma_dec * delta, max(mu * pi_m, _CRITICALITY_FLOOR * delta))
+    return min(gamma_dec * delta, max(mu * pi_m, delta_min))
 
 
 def _swap_farthest(iset, center, trial, f_trial):
@@ -449,8 +456,12 @@ def solve(f, region, x0, config=None):
                 pi_m < delta / config.mu or not fully_linear
             ):
                 if fully_linear:
-                    delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec)
-                if delta >= config.delta_min:  # else the run ends with this set
+                    delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec,
+                                                config.delta_min)
+                # A fully linear set keeps its radius through one cut; below
+                # delta_min the run ends with this set.
+                kept = fully_linear and config.gamma_dec * iset.radius <= delta <= iset.radius
+                if not kept and delta >= config.delta_min:
                     iset, cert = repair(iset, delta)
                 record.rows.append(IterationRow(
                     k, f_at_k, delta_at_k, pi_m, None, "criticality", oracle.used, fully_linear,

@@ -4,6 +4,8 @@ Everything here deliberately avoids the library's computational paths:
 plain loops, dense grids with local refinement, numpy lstsq/slogdet.
 """
 
+from collections import Counter
+
 import numpy as np
 
 
@@ -22,7 +24,7 @@ def successful_step_lengths(record, evaluated):
     return lengths
 
 
-def check_radius_discipline(record, config, evaluated):
+def check_radius_discipline(record, config, evaluated, sets=None):
     """Assert the trust-region radius rule on each row and the row after it.
 
     - successful, rho >= 0.7: delta grows to gamma_inc * ||s|| when that is
@@ -30,16 +32,50 @@ def check_radius_discipline(record, config, evaluated):
     - successful, eta <= rho < 0.7: delta stays;
     - unsuccessful: one gamma_dec cut;
     - model-improving, and criticality without a certified model: stays;
-    - criticality with a fully linear model: a cut to mu * pi_m, at least
-      one gamma_dec step and at most a fall to 1/16 of delta.
+    - criticality with a fully linear model: one cut straight to
+      min(gamma_dec * delta, max(mu * pi_m, delta_min)).  Where that cut is
+      at least delta_min, the row spends no evaluation only when it keeps
+      its set, and it keeps its set only through a one-step cut.  Given
+      ``sets``, the set each row modelled by row ``k``, a row keeps its set
+      exactly when the cut is within one cut of the set's radius, and the
+      next row models that same set.
 
-    Returns the number of middle-band successes whose step would have
-    grown delta, the rows where the 0.7 threshold shows.
+    Returns a Counter of the branches seen: ``held`` (middle-band successes
+    whose step would have grown delta, where the 0.7 threshold shows),
+    ``mu_pi_m`` and ``delta_min`` (criticality cuts deeper than one step
+    that land there) and ``kept`` (criticality rows that kept their set).
     """
-    held = 0
+    seen = Counter()
     steps = successful_step_lengths(record, evaluated)
-    for row, nxt in zip(record.rows, record.rows[1:]):
-        delta, after = row.delta, nxt.delta
+    rows = record.rows
+    for i, row in enumerate(rows):
+        delta = row.delta
+        nxt = rows[i + 1] if i + 1 < len(rows) else None
+        if row.step_kind == "criticality" and row.fully_linear:
+            target = max(config.mu * row.pi_m, config.delta_min)
+            cut = min(config.gamma_dec * delta, target)
+            if nxt is not None:
+                assert nxt.delta == cut
+            if cut < config.gamma_dec * delta:
+                seen["mu_pi_m" if target > config.delta_min else "delta_min"] += 1
+            if i == 0 or cut < config.delta_min:
+                continue  # no count before the first row; no repair below delta_min
+            kept = row.evals == rows[i - 1].evals
+            seen["kept"] += kept
+            if kept:
+                assert cut == config.gamma_dec * delta
+            if sets is not None:
+                radius = sets[row.k].radius
+                assert kept == (config.gamma_dec * radius <= cut <= radius)
+                if kept and nxt is not None:
+                    new = sets[nxt.k]
+                    assert new.radius == radius
+                    np.testing.assert_array_equal(new.base, sets[row.k].base)
+                    np.testing.assert_array_equal(new.points, sets[row.k].points)
+            continue
+        if nxt is None:
+            continue
+        after = nxt.delta
         if row.step_kind == "successful":
             assert row.rho >= config.eta
             grown = min(max(delta, config.gamma_inc * steps[row.k]), config.delta_max)
@@ -47,15 +83,12 @@ def check_radius_discipline(record, config, evaluated):
                 assert after == grown
             else:
                 assert after == delta
-                held += grown > delta
+                seen["held"] += grown > delta
         elif row.step_kind == "unsuccessful":
             assert after == config.gamma_dec * delta
-        elif row.step_kind == "criticality" and row.fully_linear:
-            assert after == min(config.gamma_dec * delta,
-                                max(config.mu * row.pi_m, delta / 16))
         else:
             assert after == delta
-    return held
+    return seen
 
 
 def grid_project(region, y, lo, hi, levels=16, base_cells=81, zoom=3.0):

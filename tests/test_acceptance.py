@@ -6,6 +6,7 @@ offending numbers in the assertion message.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ def test_criterion_8_subproblem_oracles():
 
 def _check_run_discipline(problem, record, config, evaluated):
     """Feasible evaluations, monotone f and the radius rule; returns the
-    number of middle-band successes that held delta."""
+    branches of the rule seen (``check_radius_discipline``)."""
     for y in evaluated:
         assert problem.region.is_member(y), "infeasible evaluation"
     fs = [row.f for row in record.rows]
@@ -364,7 +365,7 @@ def _solve_tracked(problem, config):
 
 
 def test_criterion_9_end_to_end_solves():
-    results = []
+    results, seen = [], Counter()
 
     problem = get_problem("quad2d")
     config = SolverConfig(npoints=6, max_evals=500, seed=0)
@@ -373,7 +374,7 @@ def test_criterion_9_end_to_end_solves():
     pi_f = true_criticality(problem, x)
     assert pi_f <= 1e-4, f"quad2d pi_f = {pi_f:.2e}"
     assert elapsed < 30.0, f"quad2d took {elapsed:.1f}s"
-    _check_run_discipline(problem, record, config, evaluated)
+    seen += _check_run_discipline(problem, record, config, evaluated)
     results.append(f"quad2d pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
 
     problem = get_problem("affine2d")
@@ -382,7 +383,7 @@ def test_criterion_9_end_to_end_solves():
     pi_f = true_criticality(problem, x)
     assert pi_f <= 1e-5, f"affine2d pi_f = {pi_f:.2e}"
     assert elapsed < 30.0, f"affine2d took {elapsed:.1f}s"
-    _check_run_discipline(problem, record, config, evaluated)
+    seen += _check_run_discipline(problem, record, config, evaluated)
     results.append(f"affine2d pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
 
     problem = get_problem("rosenbrock2d")
@@ -393,8 +394,13 @@ def test_criterion_9_end_to_end_solves():
     assert pi_f <= 1e-3, f"rosenbrock2d pi_f = {pi_f:.2e}"
     assert elapsed < 30.0, f"rosenbrock2d took {elapsed:.1f}s"
     # Successes with eta <= rho < 0.7 hold delta in this run.
-    assert _check_run_discipline(problem, record, config, evaluated) > 0
+    branches = _check_run_discipline(problem, record, config, evaluated)
+    assert branches["held"]
+    seen += branches
     results.append(f"rosenbrock2d pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
+    # Criticality cuts land on mu * pi_m and on delta_min, and a fully
+    # linear set is kept through a one-step cut.
+    assert seen["mu_pi_m"] and seen["delta_min"] and seen["kept"], dict(seen)
 
     report(9, "; ".join(results))
 

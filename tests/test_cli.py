@@ -234,6 +234,16 @@ class TestCliSolve:
         assert err.startswith("error:") and "delta_min" in err
         assert not (tmp_path / "runrecord.csv").exists()
 
+    def test_infinite_radii_exit_2(self, tmp_path, capsys):
+        # Infinite radii satisfy every range check, but a run with them
+        # idles; they are one error line.
+        code = main(["solve", "--problem", "quad2d", "--delta0", "inf", "--delta-max", "inf",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert not (tmp_path / "runrecord.csv").exists()
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONVEXDFO_OUT_DIR", str(tmp_path / "envout"))
         code = main([

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexdfo import geometry as geo
@@ -15,7 +15,6 @@ from convexdfo.linear_models import InterpolationSet, RegressionBasis
 from convexdfo.problems import get_problem, true_criticality
 from convexdfo.quadratic_models import assemble_system, fit_mfn_model
 from convexdfo.solver import (
-    _CRITICALITY_FLOOR,
     _PRIOR_HESS_CAP,
     IterationRow,
     RunRecord,
@@ -131,6 +130,12 @@ class TestConfigValidation:
         dict(delta0=True),
         dict(max_evals=True),
         dict(seed=-1),
+        dict(delta0=float("inf"), delta_max=float("inf")),
+        dict(gamma_inc=float("inf"), delta_max=float("inf")),
+        dict(delta_max=float("inf")),
+        dict(eps_criticality=float("inf")),
+        dict(mu=float("nan")),
+        dict(delta_max=10**400),
     ])
     def test_bad_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -220,17 +225,22 @@ class TestCriticalityRadius:
         pi_m=st.floats(0.0, 1e3),
         mu=st.floats(1e-3, 1e3),
         gamma_dec=st.floats(1e-3, 1.0, exclude_max=True),
+        delta_min=st.floats(1e-12, 1e3),
     )
-    def test_cut_to_mu_pi_between_floor_and_one_step(self, delta, pi_m, mu, gamma_dec):
-        new = _criticality_radius(delta, pi_m, mu, gamma_dec)
-        floor = _CRITICALITY_FLOOR * delta
-        # Never above one gamma_dec step, never below the floor unless
-        # gamma_dec itself cuts deeper.
-        assert min(floor, gamma_dec * delta) <= new <= gamma_dec * delta
-        if floor < mu * pi_m < gamma_dec * delta:
+    # quad2d's phase at box seed 100: pi_m hardly moves while delta falls
+    # from 1.13, so one cut reaches mu * pi_m.
+    @example(delta=1.13, pi_m=1.25e-3, mu=1.0, gamma_dec=0.5, delta_min=1e-8)
+    @example(delta=1.13, pi_m=0.0, mu=1.0, gamma_dec=0.5, delta_min=1e-8)
+    def test_cut_to_mu_pi_between_floor_and_one_step(self, delta, pi_m, mu, gamma_dec,
+                                                     delta_min):
+        new = _criticality_radius(delta, pi_m, mu, gamma_dec, delta_min)
+        # Never above one gamma_dec step, never below the floor delta_min
+        # unless that step itself cuts deeper.
+        assert min(delta_min, gamma_dec * delta) <= new <= gamma_dec * delta
+        if delta_min <= mu * pi_m <= gamma_dec * delta:
             assert new == mu * pi_m
         if pi_m == 0.0:
-            assert new == min(floor, gamma_dec * delta) > 0.0
+            assert new == min(delta_min, gamma_dec * delta) > 0.0
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +253,18 @@ def quad_run():
     return problem, config, x, record, points
 
 
+@pytest.fixture(scope="module")
+def rosenbrock_run():
+    """rosenbrock2d's run, the points ``f`` was called at and the set each
+    row modelled."""
+    problem = get_problem("rosenbrock2d")
+    config = SolverConfig(npoints=6, max_evals=2000, seed=0)
+    f, points = recording(problem.f)
+    with pytest.MonkeyPatch.context() as patch:
+        record, sets = solve_with_sets(patch, f, problem.region, problem.x0, config)
+    return config, record, points, sets
+
+
 class TestRunDiscipline:
 
     def test_iterates_feasible_and_monotone(self, quad_run):
@@ -251,18 +273,21 @@ class TestRunDiscipline:
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
         assert geo.contains(problem.region, x, 1e-9)
 
-    def test_radius_update_discipline(self, quad_run):
+    def test_radius_update_discipline(self, quad_run, rosenbrock_run):
+        # quad2d's phase lands on delta_min; rosenbrock2d's phases land on
+        # mu * pi_m and keep a set through a one-step cut.
         _, config, _, record, points = quad_run
-        check_radius_discipline(record, config, points)
+        seen = check_radius_discipline(record, config, points)
+        config, record, points, sets = rosenbrock_run
+        seen += check_radius_discipline(record, config, points, sets)
+        assert seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
 
-    def test_radius_update_discipline_middle_band(self):
+    def test_radius_update_discipline_middle_band(self, rosenbrock_run):
         # Here successes with eta <= rho < 0.7 hold delta where the step
-        # would have grown it.
-        problem = get_problem("rosenbrock2d")
-        config = SolverConfig(npoints=6, max_evals=2000, seed=0)
-        f, points = recording(problem.f)
-        _, record = solve(f, problem.region, problem.x0, config)
-        assert check_radius_discipline(record, config, points) > 0
+        # would have grown it, and every criticality branch shows.
+        config, record, points, sets = rosenbrock_run
+        seen = check_radius_discipline(record, config, points, sets)
+        assert seen["held"] and seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
 
     def test_criticality_rows_respect_guard(self, quad_run):
         _, config, _, record, _ = quad_run
