@@ -3,15 +3,22 @@
 Each iteration builds an interpolation model on the current point set,
 measures model criticality, and either (a) repairs the sample geometry when
 the model looks critical but cannot be trusted at the current radius, first
-cutting the radius of a fully linear model to ``mu * pi_m``, or (b)
-takes a trust-region step and accepts or rejects it by the
-actual-versus-predicted reduction ratio.  A criticality cut is at least one
-``gamma_dec`` step and otherwise lands on ``mu * pi_m`` (``delta_min`` where
-that is larger) at once, so a phase costs at most one rebuild: a fully
-linear set is kept through a one-step cut, as at an unsuccessful row, and
-rebuilt at the new radius after a deeper one.  A step with ratio
-``rho >= eta`` is accepted; a very successful one
-(``rho >= _VERY_SUCCESSFUL`` = 0.7) grows ``delta`` to
+cutting the radius to ``mu * pi_m``, or (b) takes a trust-region step and
+accepts or rejects it by the actual-versus-predicted reduction ratio.  A
+criticality row's radius lands on ``mu * pi_m`` (``delta_min`` where that is
+larger) at once and never grows: a fully linear row cuts at least one
+``gamma_dec`` step, and an uncertified row keeps ``delta`` where
+``mu * pi_m >= delta``.  A fully linear set is kept through a one-step cut,
+as at an unsuccessful row; every other criticality row rebuilds its set at
+the new radius, so an uncertified set is built once, where a certified
+row's cut would land.  The next row is critical on a fully linear set only
+where ``mu * pi_m`` is below the new ``delta``, so while ``pi_m`` holds a
+phase costs at most one rebuild: after a landing on ``mu * pi_m`` the phase
+ends, and after one on ``delta_min`` the next cut ends the run.  A phase
+that starts on an uncertified set can rebuild twice: where the repaired
+set's model has a lower ``pi_m``, the certified row after the repair cuts
+and rebuilds again.  A step with ratio ``rho >= eta`` is accepted; a very
+successful one (``rho >= _VERY_SUCCESSFUL`` = 0.7) grows ``delta`` to
 ``gamma_inc * ||s||`` when that is larger, never past ``delta_max``, and
 any other accepted step leaves ``delta`` as it is.  Model accuracy ("fully
 linear" here) is operationalized as the poisedness certificate on the point
@@ -25,11 +32,11 @@ the set, recentred on the new iterate, keeps the smallest such ``r`` that
 holds all its points.  Steps swap in only the trial point; a criticality
 row that keeps its set swaps in nothing and spends no evaluation.  At any
 other cut, after a successful step whose set fits no such ``r``, and after
-a criticality row that rebuilds, ``r`` becomes ``delta``.  So ``r`` is
-always within one cut of ``delta``, and the accuracy constants of a set
-poised on B(x, r) (errors ``kappa_ef * r^2`` and ``kappa_eg * r``) give a
-model fully linear on B(x, delta) with ``kappa_ef / gamma_dec^2`` and
-``kappa_eg / gamma_dec``.
+a criticality row that rebuilds, certified or not, ``r`` becomes
+``delta``.  So ``r`` is always within one cut of ``delta``, and the
+accuracy constants of a set poised on B(x, r) (errors ``kappa_ef * r^2``
+and ``kappa_eg * r``) give a model fully linear on B(x, delta) with
+``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
 
 Models come in two kinds: linear regression on the sample set, or
 minimum-Frobenius-norm quadratic interpolation.  Quadratic models are
@@ -139,16 +146,17 @@ class SolverConfig:
     time.  ``poisedness`` is the geometry level Lambda > 1 used both to
     certify and to repair point sets, on the Lagrange polynomials of the
     model kind.  ``eps_criticality`` and ``mu`` gate the criticality step,
-    and ``mu * pi_m`` is also the radius that step cuts a fully linear
-    model's trust region to in one cut (at least one ``gamma_dec`` step; a
-    deeper cut stops at ``delta_min``); ``eta`` is the acceptance
-    threshold.  A very successful step (ratio at least 0.7) sets ``delta``
-    to ``min(max(delta, gamma_inc * ||s||), delta_max)``; any other
-    accepted step keeps ``delta``.  With ``eta >= 0.7`` every accepted step
-    is very successful.  ``validate`` raises ``ValueError`` for a value out of range
-    and for a number of the wrong type: ``npoints``, ``max_evals`` and
-    ``seed`` take integers, the other numbers finite reals, and none a
-    ``bool``.
+    and ``mu * pi_m`` is also the radius that step cuts the trust region
+    to in one cut, stopping at ``delta_min``: a fully linear model's by at
+    least one ``gamma_dec`` step, an uncertified model's only where
+    ``mu * pi_m < delta``, before its set is rebuilt; ``eta`` is the
+    acceptance threshold.  A very successful step (ratio at least 0.7)
+    sets ``delta`` to ``min(max(delta, gamma_inc * ||s||), delta_max)``;
+    any other accepted step keeps ``delta``.  With ``eta >= 0.7`` every
+    accepted step is very successful.  ``validate`` raises ``ValueError``
+    for a value out of range and for a number of the wrong type:
+    ``npoints``, ``max_evals`` and ``seed`` take integers, the other
+    numbers finite reals, and none a ``bool``.
     """
 
     delta0: float = 1.0
@@ -308,15 +316,18 @@ def _with_values(oracle, new, old, x, fx):
     return new.with_values(values)
 
 
-def _criticality_radius(delta, pi_m, mu, gamma_dec, delta_min):
-    """Radius after a fully linear criticality row: ``mu * pi_m``, clamped.
+def _criticality_radius(delta, pi_m, mu, gamma_dec, delta_min, certified):
+    """Radius after a criticality row: ``mu * pi_m``, clamped.
 
-    The cut is at least one ``gamma_dec`` step and lands on ``mu * pi_m``,
-    or on ``delta_min`` where that is larger, in one cut.  So ``pi_m = 0``
-    sends ``delta`` to ``delta_min``, not to 0, and the run ends only if the
-    model there again gives ``mu * pi_m < delta_min``.
+    The radius lands on ``mu * pi_m``, or on ``delta_min`` where that is
+    larger, in one cut.  A certified (fully linear) row cuts at least one
+    ``gamma_dec`` step; an uncertified row never grows ``delta`` and keeps
+    it where ``mu * pi_m >= delta``, so its repair builds the set at the
+    radius where a certified row's deeper cut would land.  So ``pi_m = 0`` sends ``delta``
+    to ``delta_min``, not to 0, and the run ends only if the model there
+    again gives ``mu * pi_m < delta_min``.
     """
-    return min(gamma_dec * delta, max(mu * pi_m, delta_min))
+    return min(gamma_dec * delta if certified else delta, max(mu * pi_m, delta_min))
 
 
 def _swap_farthest(iset, center, trial, f_trial):
@@ -455,11 +466,11 @@ def solve(f, region, x0, config=None):
             if pi_m < config.eps_criticality and (
                 pi_m < delta / config.mu or not fully_linear
             ):
-                if fully_linear:
-                    delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec,
-                                                config.delta_min)
-                # A fully linear set keeps its radius through one cut; below
-                # delta_min the run ends with this set.
+                delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec,
+                                            config.delta_min, fully_linear)
+                # A fully linear set keeps its radius through one cut; any
+                # other set is rebuilt at the new delta.  Below delta_min the
+                # run ends with this set.
                 kept = fully_linear and config.gamma_dec * iset.radius <= delta <= iset.radius
                 if not kept and delta >= config.delta_min:
                     iset, cert = repair(iset, delta)

@@ -31,7 +31,11 @@ def check_radius_discipline(record, config, evaluated, sets=None):
       larger, never past delta_max;
     - successful, eta <= rho < 0.7: delta stays;
     - unsuccessful: one gamma_dec cut;
-    - model-improving, and criticality without a certified model: stays;
+    - model-improving: stays;
+    - criticality without a certified model: straight to
+      min(delta, max(mu * pi_m, delta_min)), so delta stays where
+      mu * pi_m >= delta.  Given ``sets``, the next row models a set built
+      at that radius;
     - criticality with a fully linear model: one cut straight to
       min(gamma_dec * delta, max(mu * pi_m, delta_min)).  Where that cut is
       at least delta_min, the row spends no evaluation only when it keeps
@@ -42,8 +46,10 @@ def check_radius_discipline(record, config, evaluated, sets=None):
 
     Returns a Counter of the branches seen: ``held`` (middle-band successes
     whose step would have grown delta, where the 0.7 threshold shows),
-    ``mu_pi_m`` and ``delta_min`` (criticality cuts deeper than one step
-    that land there) and ``kept`` (criticality rows that kept their set).
+    ``mu_pi_m`` and ``delta_min`` (fully linear criticality cuts deeper
+    than one step that land there), ``kept`` (criticality rows that kept
+    their set) and ``uncertified_cut`` (uncertified criticality rows that
+    cut delta).
     """
     seen = Counter()
     steps = successful_step_lengths(record, evaluated)
@@ -51,8 +57,16 @@ def check_radius_discipline(record, config, evaluated, sets=None):
     for i, row in enumerate(rows):
         delta = row.delta
         nxt = rows[i + 1] if i + 1 < len(rows) else None
-        if row.step_kind == "criticality" and row.fully_linear:
+        if row.step_kind == "criticality":
             target = max(config.mu * row.pi_m, config.delta_min)
+            if not row.fully_linear:
+                cut = min(delta, target)
+                seen["uncertified_cut"] += cut < delta
+                if nxt is not None:
+                    assert nxt.delta == cut
+                    if sets is not None:
+                        assert sets[nxt.k].radius == cut
+                continue
             cut = min(config.gamma_dec * delta, target)
             if nxt is not None:
                 assert nxt.delta == cut

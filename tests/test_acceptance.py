@@ -377,6 +377,16 @@ def test_criterion_9_end_to_end_solves():
     seen += _check_run_discipline(problem, record, config, evaluated)
     results.append(f"quad2d pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
 
+    # The default npoints: here fully linear cuts land on mu * pi_m and a
+    # set is kept through a one-step cut.
+    config = SolverConfig(max_evals=500, seed=1)
+    x, record, evaluated, elapsed = _solve_tracked(problem, config)
+    pi_f = true_criticality(problem, x)
+    assert pi_f <= 1e-4, f"quad2d (default npoints) pi_f = {pi_f:.2e}"
+    assert elapsed < 30.0, f"quad2d (default npoints) took {elapsed:.1f}s"
+    seen += _check_run_discipline(problem, record, config, evaluated)
+    results.append(f"quad2d/p=5 pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
+
     problem = get_problem("affine2d")
     config = SolverConfig(npoints=6, max_evals=500, seed=0)
     x, record, evaluated, elapsed = _solve_tracked(problem, config)
@@ -398,9 +408,11 @@ def test_criterion_9_end_to_end_solves():
     assert branches["held"]
     seen += branches
     results.append(f"rosenbrock2d pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
-    # Criticality cuts land on mu * pi_m and on delta_min, and a fully
-    # linear set is kept through a one-step cut.
-    assert seen["mu_pi_m"] and seen["delta_min"] and seen["kept"], dict(seen)
+    # Uncertified criticality rows cut delta; fully linear cuts land on
+    # mu * pi_m and on delta_min, and a fully linear set is kept through a
+    # one-step cut.
+    assert (seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
+            and seen["uncertified_cut"]), dict(seen)
 
     report(9, "; ".join(results))
 

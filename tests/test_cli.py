@@ -135,16 +135,19 @@ class TestCliSolve:
     def test_final_model_is_the_solvers(self, tmp_path, capsys, model):
         # final_model.json is the solver's final model: it fits final_set's
         # values, and its H is the one the least-change fit produced.
-        main(["solve", "--problem", "quad2d", "--model", model, "--max-evals", "40",
+        # 30 evaluations bind for both model kinds: quad2d spends them all.
+        main(["solve", "--problem", "quad2d", "--model", model, "--max-evals", "30",
               "--seed", "0", "--out", str(tmp_path)])
-        assert "evals=40 " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "status=budget " in out and "evals=30 " in out
         iset = serialize.load_set(tmp_path / "final_set.json")
         data = json.loads((tmp_path / "final_model.json").read_text())
         saved = serialize.model_from_dict(data)
         problem = get_problem("quad2d")
         kind = {"mfn": "mfn-quadratic", "linreg": "linear-regression"}[model]
         _, record = solve(problem.f, problem.region, problem.x0,
-                          SolverConfig(model_kind=kind, max_evals=40, seed=0))
+                          SolverConfig(model_kind=kind, max_evals=30, seed=0))
+        assert record.status == "budget"
         if model == "mfn":
             np.testing.assert_allclose(saved.values(iset.points), iset.values,
                                        rtol=1e-9, atol=1e-12)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -226,21 +227,27 @@ class TestCriticalityRadius:
         mu=st.floats(1e-3, 1e3),
         gamma_dec=st.floats(1e-3, 1.0, exclude_max=True),
         delta_min=st.floats(1e-12, 1e3),
+        certified=st.booleans(),
     )
     # quad2d's phase at box seed 100: pi_m hardly moves while delta falls
     # from 1.13, so one cut reaches mu * pi_m.
-    @example(delta=1.13, pi_m=1.25e-3, mu=1.0, gamma_dec=0.5, delta_min=1e-8)
-    @example(delta=1.13, pi_m=0.0, mu=1.0, gamma_dec=0.5, delta_min=1e-8)
+    @example(delta=1.13, pi_m=1.25e-3, mu=1.0, gamma_dec=0.5, delta_min=1e-8, certified=True)
+    @example(delta=1.13, pi_m=0.0, mu=1.0, gamma_dec=0.5, delta_min=1e-8, certified=True)
+    @example(delta=1.13, pi_m=1.25e-3, mu=1.0, gamma_dec=0.5, delta_min=1e-8, certified=False)
+    @example(delta=1e-3, pi_m=5e-3, mu=1.0, gamma_dec=0.5, delta_min=1e-8, certified=False)
     def test_cut_to_mu_pi_between_floor_and_one_step(self, delta, pi_m, mu, gamma_dec,
-                                                     delta_min):
-        new = _criticality_radius(delta, pi_m, mu, gamma_dec, delta_min)
-        # Never above one gamma_dec step, never below the floor delta_min
-        # unless that step itself cuts deeper.
-        assert min(delta_min, gamma_dec * delta) <= new <= gamma_dec * delta
-        if delta_min <= mu * pi_m <= gamma_dec * delta:
+                                                     delta_min, certified):
+        new = _criticality_radius(delta, pi_m, mu, gamma_dec, delta_min, certified)
+        # Never above one gamma_dec step (delta itself when uncertified),
+        # never below the floor delta_min unless that step itself is lower.
+        step = gamma_dec * delta if certified else delta
+        assert min(delta_min, step) <= new <= step
+        if delta_min <= mu * pi_m <= step:
             assert new == mu * pi_m
+        if not certified and mu * pi_m >= delta:
+            assert new == delta
         if pi_m == 0.0:
-            assert new == min(delta_min, gamma_dec * delta) > 0.0
+            assert new == min(delta_min, step) > 0.0
 
 
 @pytest.fixture(scope="module")
@@ -253,16 +260,34 @@ def quad_run():
     return problem, config, x, record, points
 
 
-@pytest.fixture(scope="module")
-def rosenbrock_run():
-    """rosenbrock2d's run, the points ``f`` was called at and the set each
-    row modelled."""
-    problem = get_problem("rosenbrock2d")
-    config = SolverConfig(npoints=6, max_evals=2000, seed=0)
+def run_with_sets(problem_name, **config_kwargs):
+    """The run, the points ``f`` was called at and the set each row
+    modelled, by row ``k``."""
+    problem = get_problem(problem_name)
+    config = SolverConfig(**config_kwargs)
     f, points = recording(problem.f)
     with pytest.MonkeyPatch.context() as patch:
         record, sets = solve_with_sets(patch, f, problem.region, problem.x0, config)
     return config, record, points, sets
+
+
+@pytest.fixture(scope="module")
+def rosenbrock_run():
+    """rosenbrock2d's ``run_with_sets``."""
+    return run_with_sets("rosenbrock2d", npoints=6, max_evals=2000, seed=0)
+
+
+@pytest.fixture(scope="module")
+def quad_default_run():
+    """quad2d's ``run_with_sets`` at the default ``npoints``."""
+    return run_with_sets("quad2d", max_evals=400, seed=1)
+
+
+@pytest.fixture(scope="module")
+def runs(quad_run, rosenbrock_run):
+    """``(config, record)`` of ``quad_run`` and ``rosenbrock_run``."""
+    _, config, _, record, _ = quad_run
+    return [(config, record), rosenbrock_run[:2]]
 
 
 class TestRunDiscipline:
@@ -273,49 +298,58 @@ class TestRunDiscipline:
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
         assert geo.contains(problem.region, x, 1e-9)
 
-    def test_radius_update_discipline(self, quad_run, rosenbrock_run):
-        # quad2d's phase lands on delta_min; rosenbrock2d's phases land on
-        # mu * pi_m and keep a set through a one-step cut.
+    def test_radius_update_discipline(self, quad_run, rosenbrock_run, quad_default_run):
+        # Every criticality branch shows across the three runs: uncertified
+        # rows cut delta, and fully linear rows land on mu * pi_m and on
+        # delta_min and keep a set through a one-step cut.
         _, config, _, record, points = quad_run
         seen = check_radius_discipline(record, config, points)
-        config, record, points, sets = rosenbrock_run
-        seen += check_radius_discipline(record, config, points, sets)
-        assert seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
+        for config, record, points, sets in (rosenbrock_run, quad_default_run):
+            seen += check_radius_discipline(record, config, points, sets)
+        assert (seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
+                and seen["uncertified_cut"]), dict(seen)
 
-    def test_radius_update_discipline_middle_band(self, rosenbrock_run):
-        # Here successes with eta <= rho < 0.7 hold delta where the step
-        # would have grown it, and every criticality branch shows.
-        config, record, points, sets = rosenbrock_run
-        seen = check_radius_discipline(record, config, points, sets)
-        assert seen["held"] and seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
+    def test_radius_update_discipline_middle_band(self, rosenbrock_run, quad_default_run):
+        # In rosenbrock2d's run successes with eta <= rho < 0.7 hold delta
+        # where the step would have grown it; with quad2d's, every
+        # criticality branch shows.
+        seen = Counter()
+        for config, record, points, sets in (rosenbrock_run, quad_default_run):
+            seen += check_radius_discipline(record, config, points, sets)
+        assert (seen["held"] and seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
+                and seen["uncertified_cut"]), dict(seen)
 
-    def test_criticality_rows_respect_guard(self, quad_run):
-        _, config, _, record, _ = quad_run
-        for row in record.rows:
-            if row.step_kind == "criticality":
-                assert row.pi_m < config.eps_criticality
+    def test_runs_cover_every_step_kind(self, runs):
+        kinds = {row.step_kind for _, record in runs for row in record.rows}
+        assert kinds == set(sv.STEP_KINDS)
 
-    def test_rho_presence_by_step_kind(self, quad_run):
-        _, _, _, record, _ = quad_run
-        for row in record.rows:
-            if row.step_kind in ("successful", "unsuccessful", "model-improving"):
-                assert row.rho is not None
-            else:
-                assert row.rho is None
+    def test_criticality_rows_respect_guard(self, runs):
+        for config, record in runs:
+            for row in record.rows:
+                if row.step_kind == "criticality":
+                    assert row.pi_m < config.eps_criticality
 
-    def test_successful_rows_decrease_f(self, quad_run):
-        _, config, _, record, _ = quad_run
-        rows = record.rows
-        for row, nxt in zip(rows, rows[1:]):
-            if row.step_kind == "successful":
-                assert nxt.f < row.f
-                assert row.rho >= config.eta
+    def test_rho_presence_by_step_kind(self, runs):
+        for _, record in runs:
+            for row in record.rows:
+                if row.step_kind in ("successful", "unsuccessful", "model-improving"):
+                    assert row.rho is not None
+                else:
+                    assert row.rho is None
 
-    def test_evals_nondecreasing_within_budget(self, quad_run):
-        _, config, _, record, _ = quad_run
-        evals = [row.evals for row in record.rows]
-        assert all(b >= a for a, b in zip(evals, evals[1:]))
-        assert evals[-1] <= config.max_evals
+    def test_successful_rows_decrease_f(self, runs):
+        for config, record in runs:
+            rows = record.rows
+            for row, nxt in zip(rows, rows[1:]):
+                if row.step_kind == "successful":
+                    assert nxt.f < row.f
+                    assert row.rho >= config.eta
+
+    def test_evals_nondecreasing_within_budget(self, runs):
+        for config, record in runs:
+            evals = [row.evals for row in record.rows]
+            assert all(b >= a for a, b in zip(evals, evals[1:]))
+            assert evals[-1] <= config.max_evals
 
 
 class TestEdgeCases:
@@ -697,9 +731,9 @@ class TestEvaluationCount:
     def test_record_counts_every_call(self):
         problem = get_problem("quad2d")
         f, points = recording(problem.f)
-        _, record = solve(f, problem.region, problem.x0, SolverConfig(max_evals=40, seed=0))
+        _, record = solve(f, problem.region, problem.x0, SolverConfig(max_evals=30, seed=0))
         assert record.status == "budget"
-        assert len(points) == 40 and record.evals == 40
+        assert len(points) == 30 and record.evals == 30
         assert record.rows[-1].evals <= record.evals
 
     def test_failed_run_counts_its_calls(self):
