@@ -27,16 +27,30 @@ poised at the configured level on the feasible part of B(x, min(r, 1)),
 with every point inside that ball.  A set is kept with
 ``delta <= r <= delta / gamma_dec``: an unsuccessful step, and a one-step
 criticality cut of a fully linear model, cut ``delta`` but leave in place a
-set whose ``r`` was ``delta`` before the cut, and after a successful step
-the set, recentred on the new iterate, keeps the smallest such ``r`` that
-holds all its points.  Steps swap in only the trial point; a criticality
-row that keeps its set swaps in nothing and spends no evaluation.  At any
-other cut, after a successful step whose set fits no such ``r``, and after
-a criticality row that rebuilds, certified or not, ``r`` becomes
+set whose ``r`` was ``delta`` before the cut, and after a move of the
+iterate the set, recentred on the new iterate, keeps the smallest such
+``r`` that holds all its points (up to the certificate's slack,
+``poisedness.GEOMETRY_SLACK``).  Steps swap in only the trial point; a
+criticality row that keeps its set swaps in nothing and spends no
+evaluation.  At any other cut, after a move whose set fits no such ``r``,
+and after a criticality row that rebuilds, certified or not, ``r`` becomes
 ``delta``.  So ``r`` is always within one cut of ``delta``, and the
 accuracy constants of a set poised on B(x, r) (errors ``kappa_ef * r^2``
 and ``kappa_eg * r``) give a model fully linear on B(x, delta) with
 ``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
+
+The iterate is the lowest point of its set, as BOBYQA's and DFO-LS's
+``x_opt`` is.  Every row that does not follow a criticality row starts by
+moving ``x`` onto the lowest point of its set (the first, on a tie) where
+that point's value is strictly below ``f(x)``: ``delta`` stays, and the set
+is recentred as above and certified again.  This is the one place ``x``
+changes: a successful step swaps its trial into the set, and the move
+makes it the iterate; a geometry point, or an unsuccessful trial, that
+lowered ``f`` becomes the iterate the same way.  A model fitted on the same
+points and values is the same function whatever point it is expanded
+about, so a move costs no evaluation.  A criticality row's next row keeps
+its iterate.  A repair may swap the iterate out of its set; it stays the
+iterate until a point below it enters.
 
 Models come in two kinds: linear regression on the sample set, or
 minimum-Frobenius-norm quadratic interpolation.  Quadratic models are
@@ -75,6 +89,7 @@ import numpy as np
 from .geometry import ProjectionError, project
 from .linear_models import build_design_matrix, fit_regression_model
 from .poisedness import (
+    GEOMETRY_SLACK,
     PoisednessImprovementError,
     ThinRegionError,
     check_poisedness,
@@ -153,7 +168,8 @@ class SolverConfig:
     acceptance threshold.  A very successful step (ratio at least 0.7)
     sets ``delta`` to ``min(max(delta, gamma_inc * ||s||), delta_max)``;
     any other accepted step keeps ``delta``.  With ``eta >= 0.7`` every
-    accepted step is very successful.  ``validate`` raises ``ValueError``
+    accepted step is very successful.  A move of the iterate onto a lower
+    point of its set keeps ``delta``.  ``validate`` raises ``ValueError``
     for a value out of range and for a number of the wrong type:
     ``npoints``, ``max_evals`` and ``seed`` take integers, the other
     numbers finite reals, and none a ``bool``.
@@ -343,9 +359,18 @@ def _swap_farthest(iset, center, trial, f_trial):
 
 def _recentred_radius(points, centre, delta, gamma_dec):
     """Smallest r in [delta, delta / gamma_dec] with every point in
-    B(centre, min(r, 1)); ``delta`` when there is none."""
+    B(centre, min(r, 1)), up to the certificate's slack; ``delta`` when
+    there is none.
+
+    A point a rounding step beyond ``delta / gamma_dec`` still fits, as the
+    certificate's ball test takes it; ``gamma_dec * r <= delta`` holds
+    exactly for the r returned.
+    """
     reach = float(np.max(np.linalg.norm(points - centre, axis=1)))
-    return reach if delta < reach <= 1.0 and gamma_dec * reach <= delta else delta
+    r = min(reach, delta / gamma_dec)
+    fits = (delta < reach <= min(r, 1.0) * (1.0 + GEOMETRY_SLACK)
+            and gamma_dec * r <= delta)
+    return r if fits else delta
 
 
 def _build_model(iset, model_kind):
@@ -387,7 +412,9 @@ def _least_change_fit(iset, model_kind, prior):
 def solve(f, region, x0, config=None):
     """Run the trust-region iteration; returns ``(x_final, RunRecord)``.
 
-    ``f`` is called only at exact members of the region
+    ``x_final`` is the last iterate, the base of ``RunRecord.final_set``:
+    its lowest point unless the last row is a criticality row.  ``f`` is
+    called only at exact members of the region
     (``region.is_member``).  An infeasible ``x0`` is projected into the
     region first, or replaced by a member within ``delta_min`` of its
     projection where that is not an exact member (noted in the record).
@@ -445,6 +472,15 @@ def solve(f, region, x0, config=None):
         iset, cert = repair(None, delta)
 
         for k in range(50 * config.max_evals):
+            after_criticality = record.rows and record.rows[-1].step_kind == "criticality"
+            lowest = int(np.argmin(iset.values))
+            if not after_criticality and iset.values[lowest] < fx:
+                # The lowest point of the set becomes the iterate: a model
+                # does not depend on its base, so this costs no evaluation.
+                x, fx = iset.points[lowest].copy(), float(iset.values[lowest])
+                iset = iset.with_geometry(
+                    x, _recentred_radius(iset.points, x, delta, config.gamma_dec))
+                cert = None
             if delta < config.delta_min:
                 record.status = "radius_min"
                 break
@@ -492,16 +528,12 @@ def solve(f, region, x0, config=None):
             if rho is not None and rho >= config.eta:
                 step_kind = "successful"
                 # Delta never shrinks here; a very successful step grows it as
-                # far as gamma_inc * ||s||.  The set keeps the smallest radius
-                # within one cut of delta that holds it.
+                # far as gamma_inc * ||s||.  Swapped into the set, the trial
+                # becomes the iterate by the next row's move.
                 if rho >= _VERY_SUCCESSFUL:
                     delta = min(max(delta, config.gamma_inc * float(np.linalg.norm(trial - x))),
                                 config.delta_max)
                 iset = _swap_farthest(iset, trial, trial, f_trial)
-                iset = iset.with_geometry(
-                    trial, _recentred_radius(iset.points, trial, delta, config.gamma_dec))
-                x, fx = trial, f_trial
-                cert = None
             elif not fully_linear:
                 step_kind = "model-improving"
                 iset, cert = repair(iset, iset.radius)

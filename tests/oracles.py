@@ -9,23 +9,36 @@ from collections import Counter
 import numpy as np
 
 
-def successful_step_lengths(record, evaluated):
-    """||s|| of every successful row, by row ``k``, from the evaluation log.
+def row_iterates(record, evaluated, values=None, sets=None):
+    """The iterate of every row, by row ``k``.
 
-    The start is evaluation 0; a successful row's trial is evaluation
-    ``row.evals - 1`` and becomes the iterate of the rows after it.
+    Given ``sets``, the set each row modelled by row ``k``, it is the base
+    of the row's set; otherwise the first evaluated point whose value (in
+    ``values``, the evaluation log's values) is ``row.f``.
     """
-    x, lengths = evaluated[0], {}
-    for row in record.rows:
-        if row.step_kind == "successful":
-            trial = evaluated[row.evals - 1]
-            lengths[row.k] = float(np.linalg.norm(trial - x))
-            x = trial
-    return lengths
+    if sets is not None:
+        return {row.k: sets[row.k].base for row in record.rows}
+    first = {}
+    for y, value in zip(evaluated, values):
+        first.setdefault(value, y)
+    return {row.k: first[row.f] for row in record.rows}
 
 
-def check_radius_discipline(record, config, evaluated, sets=None):
+def successful_step_lengths(record, evaluated, iterates):
+    """||s|| of every successful row, by row ``k``: a successful row's trial
+    is evaluation ``row.evals - 1``, and its step starts at the row's
+    iterate (``row_iterates``)."""
+    return {row.k: float(np.linalg.norm(evaluated[row.evals - 1] - iterates[row.k]))
+            for row in record.rows if row.step_kind == "successful"}
+
+
+def check_radius_discipline(record, config, evaluated, values=None, sets=None):
     """Assert the trust-region radius rule on each row and the row after it.
+
+    ``evaluated`` and ``values`` are the evaluation log, points and their
+    values in call order; ``sets`` the set each row modelled, by row ``k``.
+    One of ``values`` and ``sets`` is needed to follow the iterate
+    (``row_iterates``).
 
     - successful, rho >= 0.7: delta grows to gamma_inc * ||s|| when that is
       larger, never past delta_max;
@@ -42,21 +55,38 @@ def check_radius_discipline(record, config, evaluated, sets=None):
       its set, and it keeps its set only through a one-step cut.  Given
       ``sets``, the set each row modelled by row ``k``, a row keeps its set
       exactly when the cut is within one cut of the set's radius, and the
-      next row models that same set.
+      next row models that same set;
+    - a move: the iterate of a row goes to a lower point of its set that is
+      not the last row's successful trial (or, at the first row, is not the
+      start).  It never follows a criticality row, whose next row keeps its
+      iterate, and it leaves delta to the last row's rule above.
 
     Returns a Counter of the branches seen: ``held`` (middle-band successes
     whose step would have grown delta, where the 0.7 threshold shows),
     ``mu_pi_m`` and ``delta_min`` (fully linear criticality cuts deeper
     than one step that land there), ``kept`` (criticality rows that kept
-    their set) and ``uncertified_cut`` (uncertified criticality rows that
-    cut delta).
+    their set), ``uncertified_cut`` (uncertified criticality rows that
+    cut delta) and ``moved`` (the moves above, the first row's included).
     """
     seen = Counter()
-    steps = successful_step_lengths(record, evaluated)
+    iterates = row_iterates(record, evaluated, values, sets)
+    steps = successful_step_lengths(record, evaluated, iterates)
     rows = record.rows
+    if rows:
+        seen["moved"] += not np.array_equal(iterates[rows[0].k], evaluated[0])
     for i, row in enumerate(rows):
         delta = row.delta
         nxt = rows[i + 1] if i + 1 < len(rows) else None
+        if nxt is not None:
+            assert nxt.f <= row.f
+            x, x_next = iterates[row.k], iterates[nxt.k]
+            if row.step_kind == "criticality":
+                np.testing.assert_array_equal(x_next, x)
+                assert nxt.f == row.f
+            elif row.step_kind == "successful":
+                seen["moved"] += not np.array_equal(x_next, evaluated[row.evals - 1])
+            else:
+                seen["moved"] += not np.array_equal(x_next, x)
         if row.step_kind == "criticality":
             target = max(config.mu * row.pi_m, config.delta_min)
             if not row.fully_linear:

@@ -344,19 +344,22 @@ def test_criterion_8_subproblem_oracles():
 def _check_run_discipline(problem, record, config, evaluated):
     """Feasible evaluations, monotone f and the radius rule; returns the
     branches of the rule seen (``check_radius_discipline``)."""
-    for y in evaluated:
+    points = [y for y, _ in evaluated]
+    for y in points:
         assert problem.region.is_member(y), "infeasible evaluation"
     fs = [row.f for row in record.rows]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:])), "f not monotone"
-    return check_radius_discipline(record, config, evaluated)
+    return check_radius_discipline(record, config, points, [v for _, v in evaluated])
 
 
 def _solve_tracked(problem, config):
+    """The solve and its evaluation log, ``(point, value)`` in call order."""
     evaluated = []
 
     def tracked(y):
-        evaluated.append(np.array(y))
-        return problem.f(y)
+        value = problem.f(y)
+        evaluated.append((np.array(y), value))
+        return value
 
     start = time.perf_counter()
     x, record = solve(tracked, problem.region, problem.x0, config)
@@ -409,10 +412,10 @@ def test_criterion_9_end_to_end_solves():
     seen += branches
     results.append(f"rosenbrock2d pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
     # Uncertified criticality rows cut delta; fully linear cuts land on
-    # mu * pi_m and on delta_min, and a fully linear set is kept through a
-    # one-step cut.
+    # mu * pi_m and on delta_min, a fully linear set is kept through a
+    # one-step cut, and the iterate moves onto a lower point of its set.
     assert (seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
-            and seen["uncertified_cut"]), dict(seen)
+            and seen["uncertified_cut"] and seen["moved"]), dict(seen)
 
     report(9, "; ".join(results))
 

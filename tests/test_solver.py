@@ -23,6 +23,7 @@ from convexdfo.solver import (
     SolverError,
     _criticality_radius,
     _least_change_fit,
+    _recentred_radius,
     solve,
 )
 
@@ -301,13 +302,15 @@ class TestRunDiscipline:
     def test_radius_update_discipline(self, quad_run, rosenbrock_run, quad_default_run):
         # Every criticality branch shows across the three runs: uncertified
         # rows cut delta, and fully linear rows land on mu * pi_m and on
-        # delta_min and keep a set through a one-step cut.
-        _, config, _, record, points = quad_run
-        seen = check_radius_discipline(record, config, points)
+        # delta_min and keep a set through a one-step cut.  The iterate
+        # moves onto a lower point of its set.
+        problem, config, _, record, points = quad_run
+        seen = check_radius_discipline(record, config, points,
+                                       values=[problem.f(y) for y in points])
         for config, record, points, sets in (rosenbrock_run, quad_default_run):
-            seen += check_radius_discipline(record, config, points, sets)
+            seen += check_radius_discipline(record, config, points, sets=sets)
         assert (seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
-                and seen["uncertified_cut"]), dict(seen)
+                and seen["uncertified_cut"] and seen["moved"]), dict(seen)
 
     def test_radius_update_discipline_middle_band(self, rosenbrock_run, quad_default_run):
         # In rosenbrock2d's run successes with eta <= rho < 0.7 hold delta
@@ -315,9 +318,9 @@ class TestRunDiscipline:
         # criticality branch shows.
         seen = Counter()
         for config, record, points, sets in (rosenbrock_run, quad_default_run):
-            seen += check_radius_discipline(record, config, points, sets)
+            seen += check_radius_discipline(record, config, points, sets=sets)
         assert (seen["held"] and seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
-                and seen["uncertified_cut"]), dict(seen)
+                and seen["uncertified_cut"] and seen["moved"]), dict(seen)
 
     def test_runs_cover_every_step_kind(self, runs):
         kinds = {row.step_kind for _, record in runs for row in record.rows}
@@ -508,16 +511,17 @@ class TestEvaluations:
 
 
 def solve_with_sets(monkeypatch, f, region, x0, config):
-    """``solve`` plus the point set each row modelled, indexed by row ``k``."""
-    sets, build = [], sv._build_model
+    """``solve`` plus the point set each row modelled, with its values of
+    ``f``, indexed by row ``k``."""
+    sets, fit = [], sv._least_change_fit
 
-    def recorded(iset, model_kind):
-        model, system = build(iset, model_kind)
+    def recorded(iset, model_kind, prior):
+        model, system = fit(iset, model_kind, prior)
         if model is not None:
             sets.append(iset)
         return model, system
 
-    monkeypatch.setattr(sv, "_build_model", recorded)
+    monkeypatch.setattr(sv, "_least_change_fit", recorded)
     _, record = solve(f, region, x0, config)
     return record, sets
 
@@ -532,28 +536,45 @@ class TestKeptSet:
         # gathered over seeds 0, 1, ... until there are ten.  At this level
         # the seed alone does not move the run, so seed k > 0 also moves the
         # start by up to 0.1 in each coordinate (inside the unit ball).
+        # An unsuccessful trial that lowered f (0 < rho < eta) is the lowest
+        # point of the set: the next row moves onto it, and the set is
+        # recentred there as after a successful step.  Those rows are
+        # asserted apart.
         problem = get_problem("rosenbrock2d")
-        kept = 0
+        kept = moved = 0
         for seed in range(10):
             config = SolverConfig(max_evals=500, seed=seed, poisedness=1e8)
             shift = 0.1 * np.random.default_rng(seed).uniform(-1.0, 1.0, 2)
             x0 = problem.x0 + (shift if seed else 0.0)
+            f, points = recording(problem.f)
             with pytest.MonkeyPatch.context() as patch:
-                record, sets = solve_with_sets(patch, problem.f, problem.region, x0, config)
+                record, sets = solve_with_sets(patch, f, problem.region, x0, config)
             for row, nxt in zip(record.rows, record.rows[1:]):
-                if row.step_kind == "unsuccessful" and sets[row.k].radius != row.delta:
-                    assert sets[nxt.k].radius == nxt.delta
-                first_cut = sets[row.k].radius == row.delta <= 1.0
-                if row.step_kind != "unsuccessful" or not row.fully_linear or not first_cut:
+                if row.step_kind != "unsuccessful":
                     continue
-                assert sets[nxt.k].radius == row.delta == nxt.delta / config.gamma_dec
+                new = sets[nxt.k]
+                assert nxt.delta == config.gamma_dec * row.delta
+                if nxt.f < row.f:
+                    trial = points[row.evals - 1]
+                    assert 0.0 < row.rho < config.eta
+                    np.testing.assert_array_equal(new.base, trial)
+                    assert new.radius == _recentred_radius(new.points, trial, nxt.delta,
+                                                           config.gamma_dec)
+                    moved += 1
+                    continue
+                if sets[row.k].radius != row.delta:
+                    assert new.radius == nxt.delta
+                first_cut = sets[row.k].radius == row.delta <= 1.0
+                if not row.fully_linear or not first_cut:
+                    continue
+                assert new.radius == row.delta == nxt.delta / config.gamma_dec
                 if nxt.step_kind != "criticality":
                     kept += 1
                     assert nxt.fully_linear
                     assert nxt.evals - row.evals == 1
             if kept >= 10:
                 break
-        assert kept >= 10
+        assert kept >= 10 and moved
 
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(["box", "ball"]), n=st.integers(1, 3),
@@ -622,6 +643,93 @@ class TestKeptAfterSuccess:
                 assert nxt.fully_linear
                 assert nxt.evals - row.evals == 1
         assert kept >= 10 and widened >= 5
+
+
+def value_at_base(iset):
+    """The value of ``iset`` at its base; None where the base is not one of
+    its points."""
+    at = (iset.points == iset.base).all(axis=1)
+    return iset.values[at][0] if at.any() else None
+
+
+class TestIterateIsLowest:
+    def test_rows_start_from_the_lowest_point_of_their_set(self, rosenbrock_run,
+                                                          quad_default_run):
+        # f never rises.  Except right after a criticality row, whose next
+        # row keeps its base, a row's iterate is the lowest point of its
+        # set, or below every point where a repair swapped the iterate out.
+        seen = Counter()
+        for _, record, _, sets in (rosenbrock_run, quad_default_run):
+            for prev, row in zip([None] + record.rows[:-1], record.rows):
+                iset = sets[row.k]
+                if prev is not None:
+                    assert row.f <= prev.f
+                if prev is not None and prev.step_kind == "criticality":
+                    np.testing.assert_array_equal(iset.base, sets[prev.k].base)
+                    seen["after criticality"] += 1
+                elif value_at_base(iset) is None:
+                    assert row.f < iset.values.min()
+                else:
+                    assert row.f == value_at_base(iset) == iset.values.min()
+                    seen["lowest"] += 1
+        assert seen["after criticality"] and seen["lowest"], dict(seen)
+
+    def test_solve_returns_the_iterate(self):
+        # The returned x is the base of the final set.  After a criticality
+        # row it is that row's iterate; after any other row it is the
+        # lowest point of the final set (below every point where a repair
+        # swapped it out), also where that lies below the last row's f.
+        seen = Counter()
+        for name in ("quad2d", "rosenbrock2d"):
+            problem = get_problem(name)
+            for budget in range(20, 80, 5):
+                x, record = solve(problem.f, problem.region, problem.x0,
+                                  SolverConfig(max_evals=budget, seed=0))
+                final, last = record.final_set, record.rows[-1]
+                np.testing.assert_array_equal(x, final.base)
+                fx = problem.f(x)
+                if last.step_kind == "criticality":
+                    assert fx == last.f
+                    seen["after criticality"] += 1
+                    continue
+                assert fx <= last.f
+                if value_at_base(final) is None:
+                    assert fx < final.values.min()
+                else:
+                    assert fx == value_at_base(final) == final.values.min()
+                seen["moved after the last row"] += fx < last.f
+        assert seen["after criticality"] and seen["moved after the last row"], dict(seen)
+
+    def test_recentred_radius_takes_the_certificate_slack(self):
+        # A move onto an axis point of a set sampled at r = delta reaches
+        # 2 delta in exact arithmetic; here the reach rounds above it, and
+        # the set still fits at r = delta / gamma_dec.
+        x = np.array([0.2739233746429086, -0.4604265724722594])
+        delta = 0.02597967433511593
+        points = x + np.vstack([np.zeros(2), delta * np.eye(2), -delta * np.eye(2)])
+        centre = points[1]
+        assert np.max(np.linalg.norm(points - centre, axis=1)) > 2.0 * delta
+        assert _recentred_radius(points, centre, delta, 0.5) == 2.0 * delta
+        assert not po._outside_ball(points, centre, 2.0 * delta)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), p=st.integers(2, 9), log_delta=st.floats(-6.0, 1.0),
+           spread=st.floats(0.1, 5.0), gamma_dec=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    def test_recentred_radius_within_one_cut(self, n, p, log_delta, spread, gamma_dec, seed):
+        # r is delta, or the smallest radius within one cut of delta whose
+        # certificate ball holds every point; gamma_dec * r <= delta exactly.
+        rng = np.random.default_rng(seed)
+        delta = 10.0 ** log_delta
+        centre = rng.standard_normal(n)
+        points = centre + spread * delta * rng.uniform(-1.0, 1.0, (p, n))
+        r = _recentred_radius(points, centre, delta, gamma_dec)
+        assert delta <= r and gamma_dec * r <= delta
+        reach = np.max(np.linalg.norm(points - centre, axis=1))
+        if r > delta:
+            assert r <= reach and not po._outside_ball(points, centre, min(r, 1.0))
+        elif delta < reach <= min(delta / gamma_dec, 1.0) and gamma_dec * reach <= delta:
+            raise AssertionError(f"reach {reach} fits, but r = delta")
 
 
 def least_change_by_dense_kkt(iset, prior):
