@@ -57,8 +57,7 @@ box = Box([-1.0, -1.0], [1.0, 1.0])
 x = np.zeros(2)
 cluster = InterpolationSet(x, 1.0, structured_initial_points(x, 0.01, 4))
 basis = build_design_matrix(cluster)
-cert = check_poisedness(basis, box, 1.0 + 1e-9, beta=cluster.displacement_bound,
-                        rng=rng, early_exit=False)
+cert = check_poisedness(basis, box, 1.0 + 1e-9, rng=rng, early_exit=False)
 values = np.array([quad.f(y) for y in cluster.points])
 affine = fit_regression_model(basis, values)
 print(f"\nclustered affine control: lambda = {cert.lambda_observed:.1f}, "

@@ -221,8 +221,6 @@ def cmd_bounds(args):
     problem = _load_problem(args.problem, args.region)
     if problem.lipschitz_grad is None:
         raise CliError(f"problem {problem.name} has no known gradient Lipschitz constant")
-    if problem.grad is None:
-        raise CliError(f"problem {problem.name} has no gradient oracle")
     lipschitz = problem.lipschitz_grad * args.l_scale
     rng = np.random.default_rng(args.seed)
     region = problem.region
@@ -254,10 +252,10 @@ def cmd_bounds(args):
             basis = build_design_matrix(iset)
             beta = iset.displacement_bound
             cert_mfn = poisedness.check_poisedness(
-                system, region, 1.0 + 1e-9, beta=beta, rng=rng, early_exit=False
+                system, region, 1.0 + 1e-9, rng=rng, early_exit=False
             )
             cert_reg = poisedness.check_poisedness(
-                basis, region, 1.0 + 1e-9, beta=beta, rng=rng, early_exit=False
+                basis, region, 1.0 + 1e-9, rng=rng, early_exit=False
             )
             lam_by_kind = {
                 "mfn-quadratic": max(cert_mfn.lambda_observed, 1.0),

@@ -13,11 +13,15 @@ with no Hessian factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .quadratic_models import MfnSystem, Quadratics, SignedLogDet, SingularGeometryError
+
+if TYPE_CHECKING:  # poisedness imports this module
+    from .poisedness import PoisednessCertificate
 
 __all__ = [
     "InterpolationSet",
@@ -39,8 +43,10 @@ class InterpolationSet:
     The base point need not be one of the sample points.  Instances are
     treated as immutable; point replacement returns a new set.  ``system``
     is the system of this geometry for the run's model kind (the factored
-    :class:`MfnSystem`, or the :class:`RegressionBasis`) or None;
-    ``with_values`` keeps it, a new geometry drops it.
+    :class:`MfnSystem`, or the :class:`RegressionBasis`) or None; ``cert``
+    is the :class:`~convexdfo.poisedness.PoisednessCertificate` of that
+    system or None.  ``with_values`` keeps both, a new geometry drops both,
+    so neither can outlive the points it describes.
     """
 
     base: np.ndarray
@@ -48,6 +54,7 @@ class InterpolationSet:
     points: np.ndarray
     values: np.ndarray | None = None
     system: MfnSystem | RegressionBasis | None = field(default=None, repr=False, compare=False)
+    cert: PoisednessCertificate | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=float)
@@ -90,7 +97,7 @@ class InterpolationSet:
         return InterpolationSet(self.base, self.radius, points, values)
 
     def with_values(self, values):
-        return InterpolationSet(self.base, self.radius, self.points.copy(), values, self.system)
+        return replace(self, points=self.points.copy(), values=values)
 
     def with_geometry(self, base, radius):
         """Same points, new base and radius (used when the solver recenters)."""

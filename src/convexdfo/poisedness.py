@@ -109,7 +109,7 @@ class PoisednessCertificate:
     ``lambda_observed`` is the largest |l_t| value the subsolver found
     (at least 1 whenever an interpolation point is itself feasible and in
     the search ball); ``verified`` also requires the geometry side: every
-    point feasible and within ``beta * min(radius, 1)`` of the base.
+    point feasible and within ``min(radius, 1)`` of the base.
     ``per_polynomial`` and ``best_points`` hold each polynomial's best
     |l_t| value and the point where the sweep found it.
     """
@@ -199,20 +199,20 @@ def _misplaced(points, region, x, radius):
     """
     region._check_dim(points)
     if _outside_ball(points, x, radius):
-        return "point outside beta * min(radius, 1) ball"
+        return "point outside min(radius, 1) ball"
     if not region.is_member_batch(points).all():
         return "infeasible interpolation point"
     return ""
 
 
-def check_poisedness(system, region, lam, beta=1.0, rng=None, early_exit=True):
+def check_poisedness(system, region, lam, rng=None, early_exit=True):
     """Poisedness certificate for an interpolation system at level ``lam``.
 
     Works for both MFN systems and regression bases, whose nondegeneracy
     also requires the displacements to span.  Verification requires no
-    point misplaced (outside B(x, beta * min(radius, 1)) or infeasible),
-    with x and radius the system's base and radius, and no Lagrange
-    polynomial found above ``lam``.
+    point misplaced (outside B(x, min(radius, 1)) or infeasible), with x
+    and radius the system's base and radius, and no Lagrange polynomial
+    found above ``lam``.
 
     Every polynomial is maximized over the feasible search ball, except
     those whose interval bound on the ball is already at most ``lam``: they
@@ -229,7 +229,7 @@ def check_poisedness(system, region, lam, beta=1.0, rng=None, early_exit=True):
     x, r = system.base, min(system.radius, 1.0)
 
     why = ("singular interpolation system" if not system.nondegenerate
-           else _misplaced(system.points, region, x, beta * r))
+           else _misplaced(system.points, region, x, r))
     if why and (early_exit or not system.nondegenerate):
         return PoisednessCertificate(lambda_observed=np.inf, witness_index=-1,
                                      witness_point=None, verified=False, reason=why)
@@ -353,9 +353,10 @@ def _repair(work, region, lam, rng, model_kind, cap=None):
     observed level exceeds ``lam``; only these swaps are logged, at most
     ``cap`` of them.  Their checks exit early at the first value above
     ``lam``, which suffices for the determinant to grow by ``lam^2``; the
-    last round finds none, so its certificate is the full sweep's.  With no
-    level and no point left to swap, the loop returns without a check.
-    Each set carries its system; a singular one raises :class:`ThinRegionError`.
+    last round finds none, so its certificate is the full sweep's, and the
+    set carries it.  With no level and no point left to swap, the loop
+    returns without a check.  Each set carries its system; a singular one
+    raises :class:`ThinRegionError`.
     """
     tried = set()
     swap_log = []
@@ -370,7 +371,7 @@ def _repair(work, region, lam, rng, model_kind, cap=None):
             tried.add(bad)
             t, y_new = bad, cert.best_points[bad]
         elif cert.lambda_observed <= lam:
-            return work, cert, swap_log
+            return replace(work, cert=cert), cert, swap_log
         elif len(swap_log) >= cap:
             raise PoisednessImprovementError(
                 f"poisedness improvement did not settle within {cap} swaps "
@@ -424,7 +425,8 @@ def improve_to_poised(iset, region, x, delta, p, lam, rng=None, max_swaps=None,
     point above ``lam`` multiplies the determinant by at least ``lam^2``
     and is logged with the determinants before and after it.
 
-    Returns ``(set, certificate of the last check, swap_log)``.
+    Returns ``(set, certificate of the last check, swap_log)``; the set
+    carries its system and that certificate.
     """
     if not lam > 1.0:
         raise ValueError("improvement requires a poisedness level above 1")

@@ -29,15 +29,15 @@ with every point inside that ball.  A set is kept with
 criticality cut of a fully linear model, cut ``delta`` but leave in place a
 set whose ``r`` was ``delta`` before the cut, and after a move of the
 iterate the set, recentred on the new iterate, keeps the smallest such
-``r`` that holds all its points (up to the certificate's slack,
-``poisedness.GEOMETRY_SLACK``).  Steps swap in only the trial point; a
-criticality row that keeps its set swaps in nothing and spends no
-evaluation.  At any other cut, after a move whose set fits no such ``r``,
-and after a criticality row that rebuilds, certified or not, ``r`` becomes
-``delta``.  So ``r`` is always within one cut of ``delta``, and the
-accuracy constants of a set poised on B(x, r) (errors ``kappa_ef * r^2``
-and ``kappa_eg * r``) give a model fully linear on B(x, delta) with
-``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
+``r`` that holds all its points (by the certificate's own ball test).
+Steps swap in only the trial point; a criticality row that keeps its set
+swaps in nothing and spends no evaluation.  At any other cut, after a
+move whose set fits no such ``r``, and after a criticality row that
+rebuilds, certified or not, ``r`` becomes ``delta``.  So ``r`` is always
+within one cut of ``delta``, and the accuracy constants of a set poised on
+B(x, r) (errors ``kappa_ef * r^2`` and ``kappa_eg * r``) give a model
+fully linear on B(x, delta) with ``kappa_ef / gamma_dec^2`` and
+``kappa_eg / gamma_dec``.
 
 The iterate is the lowest point of its set, as BOBYQA's and DFO-LS's
 ``x_opt`` is.  Every row that does not follow a criticality row starts by
@@ -73,8 +73,9 @@ The point set carries its own values and is the solver's only store of
 evaluations: a repaired set takes each value it can from the set it
 replaces or from the iterate, so ``f`` is never called again at the
 iterate or at a point the set keeps.  It also carries the system of its
-model kind, so each set is factored once: by the repair, or here after a
-step's swap or a recentring.
+model kind and that system's certificate, so each set is factored and
+certified once: by the repair, or here after a step's swap or a
+recentring, which drop both.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ import numpy as np
 from .geometry import ProjectionError, project
 from .linear_models import build_design_matrix, fit_regression_model
 from .poisedness import (
-    GEOMETRY_SLACK,
     PoisednessImprovementError,
     ThinRegionError,
+    _outside_ball,
     check_poisedness,
     improve_to_poised,
 )
@@ -257,10 +258,10 @@ class RunRecord:
 
     ``evals`` counts every call of ``f``, the last row's and any after it.
     ``final_set`` is the last complete interpolation set, with its values
-    but not its system, at termination or failure (for export and
-    inspection); ``final_values`` reads its values.  ``final_model`` is the
-    model of ``final_set`` under the run's last least-change prior (None
-    when the set is degenerate).  None of them is in the CSV.
+    only, at termination or failure (for export and inspection);
+    ``final_values`` reads its values.  ``final_model`` is the model of
+    ``final_set`` under the run's last least-change prior (None when the
+    set is degenerate).  None of them is in the CSV.
     """
 
     rows: list = field(default_factory=list)
@@ -359,52 +360,45 @@ def _swap_farthest(iset, center, trial, f_trial):
 
 def _recentred_radius(points, centre, delta, gamma_dec):
     """Smallest r in [delta, delta / gamma_dec] with every point in
-    B(centre, min(r, 1)), up to the certificate's slack; ``delta`` when
-    there is none.
+    B(centre, min(r, 1)), as the certificate's ball test takes it; ``delta``
+    when there is none.
 
-    A point a rounding step beyond ``delta / gamma_dec`` still fits, as the
-    certificate's ball test takes it; ``gamma_dec * r <= delta`` holds
-    exactly for the r returned.
+    A point a rounding step beyond ``delta / gamma_dec`` still fits;
+    ``gamma_dec * r <= delta`` holds exactly for the r returned.
     """
     reach = float(np.max(np.linalg.norm(points - centre, axis=1)))
     r = min(reach, delta / gamma_dec)
-    fits = (delta < reach <= min(r, 1.0) * (1.0 + GEOMETRY_SLACK)
-            and gamma_dec * r <= delta)
+    fits = (delta < reach and gamma_dec * r <= delta
+            and not _outside_ball(points, centre, min(r, 1.0)))
     return r if fits else delta
 
 
-def _build_model(iset, model_kind):
-    """Model of ``iset.values`` (None when degenerate) and the system that
-    certifies it: the set's system of ``model_kind``, built only when it
-    has none."""
-    regression = model_kind == "linear-regression"
-    system = iset.system
-    if system is None:
-        system = (build_design_matrix(iset, require_full_rank=False) if regression
-                  else assemble_system(iset, require_invertible=False))
-    fit = fit_regression_model if regression else fit_mfn_model
-    return (fit(system, iset.values) if system.nondegenerate else None), system
-
-
 def _least_change_fit(iset, model_kind, prior):
-    """Model of ``iset.values`` nearest the prior Hessian, and its system.
+    """Model of ``iset.values`` nearest the prior Hessian (None when
+    degenerate), and the set's ``model_kind`` system, built if it has none.
 
     With the dense prior ``H_prev`` (None for 0) the MFN model is
     ``q_prev + MFN(f - q_prev)``, ``q_prev(y) = (y - x)^T H_prev (y - x) / 2``:
     of the quadratics interpolating ``f`` on the set, the one with the least
     ``||H - H_prev||_F``.  It is fitted on the set's own system, so the
     Lagrange polynomials that certify and repair the set do not change.  A
-    regression model, and a prior with ``||H_prev||_2`` above
-    ``_PRIOR_HESS_CAP``, get :func:`_build_model`'s fit.
+    regression model, no prior, and a prior with ``||H_prev||_2`` above
+    ``_PRIOR_HESS_CAP`` get the plain fit of the values.
     """
-    if (prior is None or model_kind == "linear-regression"
-            or np.linalg.norm(prior, 2) > _PRIOR_HESS_CAP):
-        return _build_model(iset, model_kind)
+    regression = model_kind == "linear-regression"
+    system = iset.system
+    if system is None:
+        system = (build_design_matrix(iset, require_full_rank=False) if regression
+                  else assemble_system(iset, require_invertible=False))
+    if not system.nondegenerate:
+        return None, system
+    if regression:
+        return fit_regression_model(system, iset.values), system
+    if prior is None or np.linalg.norm(prior, 2) > _PRIOR_HESS_CAP:
+        return fit_mfn_model(system, iset.values), system
     d = iset.points - iset.base
     q = 0.5 * np.einsum("ti,ij,tj->t", d, prior, d)
-    residual, system = _build_model(iset.with_values(iset.values - q), model_kind)
-    if residual is None:
-        return None, system
+    residual = fit_mfn_model(system, iset.values - q)
     (c,), (g,) = residual.c, residual.g
     return Quadratics.from_hessian(iset.base, c, g, prior + residual.hessians()[0]), system
 
@@ -449,11 +443,11 @@ def solve(f, region, x0, config=None):
     delta = config.delta0
 
     def repair(old, radius):
-        # The set comes back only once all its values exist; the certificate
-        # stands for it until a step replaces it.
-        new, cert, _ = improve_to_poised(old, region, x, radius, p, lam, rng=rng,
-                                         model_kind=config.model_kind)
-        return _with_values(oracle, new, old, x, fx), cert
+        # The set comes back only once all its values exist, with its system
+        # and the certificate of the repair's last check.
+        new = improve_to_poised(old, region, x, radius, p, lam, rng=rng,
+                                model_kind=config.model_kind)[0]
+        return _with_values(oracle, new, old, x, fx)
 
     # The Hessian of the last model: the next fit changes it least.
     prior = None
@@ -464,12 +458,12 @@ def solve(f, region, x0, config=None):
         model, system = _least_change_fit(iset, config.model_kind, prior)
         if model is not None:
             prior = model.hessians()[0]
-        return model, system, replace(iset, system=system)
+        return model, replace(iset, system=system)
 
     iset = None
     try:
         fx = oracle(x)
-        iset, cert = repair(None, delta)
+        iset = repair(None, delta)
 
         for k in range(50 * config.max_evals):
             after_criticality = record.rows and record.rows[-1].step_kind == "criticality"
@@ -480,24 +474,23 @@ def solve(f, region, x0, config=None):
                 x, fx = iset.points[lowest].copy(), float(iset.values[lowest])
                 iset = iset.with_geometry(
                     x, _recentred_radius(iset.points, x, delta, config.gamma_dec))
-                cert = None
             if delta < config.delta_min:
                 record.status = "radius_min"
                 break
 
-            model, system, iset = build(iset)
+            model, iset = build(iset)
             if model is None:
                 # Degenerate geometry slipped in; rebuild before modelling.
-                iset, cert = repair(iset, iset.radius)
-                model, system, iset = build(iset)
+                iset = repair(iset, iset.radius)
+                model, iset = build(iset)
                 if model is None:
                     raise SolverError("geometry repair failed to restore invertibility", record)
 
             f_at_k, delta_at_k = fx, delta
             pi_m = criticality_measure(model.grad(x), x, region, 1.0).value
-            if cert is None:
-                cert = check_poisedness(system, region, lam, beta=1.0, rng=rng)
-            fully_linear = bool(cert.verified)
+            if iset.cert is None:
+                iset = replace(iset, cert=check_poisedness(iset.system, region, lam, rng=rng))
+            fully_linear = bool(iset.cert.verified)
 
             if pi_m < config.eps_criticality and (
                 pi_m < delta / config.mu or not fully_linear
@@ -509,7 +502,7 @@ def solve(f, region, x0, config=None):
                 # run ends with this set.
                 kept = fully_linear and config.gamma_dec * iset.radius <= delta <= iset.radius
                 if not kept and delta >= config.delta_min:
-                    iset, cert = repair(iset, delta)
+                    iset = repair(iset, delta)
                 record.rows.append(IterationRow(
                     k, f_at_k, delta_at_k, pi_m, None, "criticality", oracle.used, fully_linear,
                 ))
@@ -536,7 +529,7 @@ def solve(f, region, x0, config=None):
                 iset = _swap_farthest(iset, trial, trial, f_trial)
             elif not fully_linear:
                 step_kind = "model-improving"
-                iset, cert = repair(iset, iset.radius)
+                iset = repair(iset, iset.radius)
             else:
                 step_kind = "unsuccessful"
                 delta = config.gamma_dec * delta
@@ -545,7 +538,6 @@ def solve(f, region, x0, config=None):
                     iset = iset.with_geometry(x, delta)
                 if trial is not None:
                     iset = _swap_farthest(iset, x, trial, f_trial)
-                cert = None
             record.rows.append(IterationRow(
                 k, f_at_k, delta_at_k, pi_m, rho, step_kind, oracle.used, fully_linear,
             ))
@@ -563,6 +555,6 @@ def solve(f, region, x0, config=None):
         # the model the next row would fit on it.
         record.evals = oracle.used
         if iset is not None:
-            record.final_set = replace(iset, system=None)
+            record.final_set = replace(iset, system=None, cert=None)
             record.final_model = _least_change_fit(iset, config.model_kind, prior)[0]
     return x, record

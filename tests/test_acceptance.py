@@ -268,8 +268,7 @@ def test_criterion_7_fully_linear_bound_suites():
         + 0.0002 * rng.standard_normal((4, 2)),
     )
     basis = lm.build_design_matrix(cluster)
-    cert = po.check_poisedness(basis, region, 1.0 + 1e-9, beta=cluster.displacement_bound,
-                               rng=rng, early_exit=False)
+    cert = po.check_poisedness(basis, region, 1.0 + 1e-9, rng=rng, early_exit=False)
     lam_reg = max(cert.lambda_observed, 1.0)
     values = np.array([problem.f(y) for y in cluster.points])
     reg_model = lm.fit_regression_model(basis, values)

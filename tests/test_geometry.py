@@ -348,6 +348,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             geo.project(geo.Box([0.0, 0.0], [1.0, 1.0]), [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("pieces,y,message", [
+        ([geo.Box([0.0, 0.0], [1.0, 1.0]), geo.Ball([3.0, 3.0], 1.0)], [5.0, 5.0],
+         "too far from the box"),
+        ([geo.Ball([0.0, 0.0], 1.0), geo.Ball([3.0, 0.0], 1.0)], [1.5, 2.0],
+         "ball intersection is empty"),
+        ([geo.Ball([0.0, 0.0], 1.0), geo.Ball([2.0, 0.0], 1.0)], [1.0, 2.0],  # tangent
+         "ball intersection is empty"),
+        ([geo.Halfspaces([[1.0, 0.0]], [0.0]), geo.Ball([3.0, 0.0], 1.0)], [1.5, 2.0],
+         "ball misses the halfspace"),
+    ], ids=["box-far-ball", "disjoint-balls", "tangent-balls", "halfspace-far-ball"])
+    def test_empty_intersection_raises(self, pieces, y, message):
+        # An intersection with at most one point has no projection: each
+        # closed-form route says so with its own error.
+        with pytest.raises(geo.ProjectionError, match=message):
+            geo.project(geo.Intersection(pieces), np.array(y))
+
 
 class TestRegionGrammar:
     def test_box_shorthand(self):

@@ -194,7 +194,7 @@ class TestCheckPoisedness:
         assert np.linalg.norm(cert.witness_point - iset.base) <= 0.5 + 1e-9
 
     def test_geometry_bound_enforced(self, rng):
-        # a point outside beta * min(delta, 1) fails verification regardless
+        # a point outside min(delta, 1) fails verification regardless
         region = geo.Box([-2.0, -2.0], [2.0, 2.0])
         iset = po.initial_invertible_set(region, np.zeros(2), 1.0, 6, rng=rng)
         stretched = iset.replace_point(3, np.array([1.9, 0.0]))
@@ -796,8 +796,9 @@ class TestCarriedSystem:
         clustered = clustered_set(rng, x, p=p, spread=0.01 * delta, radius=delta)
         for given_set, radius in [(None, delta), (first, delta), (first, 0.5 * delta),
                                   (clustered, delta)]:
-            got, _, _ = po.improve_to_poised(given_set, region, x, radius, p, 10.0, rng=rng)
+            got, cert, _ = po.improve_to_poised(given_set, region, x, radius, p, 10.0, rng=rng)
             assert_carries_own_system(got)
+            assert got.cert is cert
         target = x + rng.standard_normal(n)
         try:
             _, record = solve(lambda y: float(np.sum((y - target) ** 2)), region, x,
@@ -805,15 +806,20 @@ class TestCarriedSystem:
         except SolverError as exc:  # the final set is kept on failure too
             record = exc.record
         assert_carries_own_system(record.final_set, required=False)
+        assert record.final_set.cert is None
 
     def test_values_keep_the_system_and_geometry_drops_it(self):
+        # The certificate travels with the system: new values keep both, a
+        # new geometry drops both.  A repaired set carries the certificate
+        # of its last check.
         region = geo.Box([0.0, 0.0], [2.0, 2.0])
         x = np.array([0.5, 0.5])
-        iset = po.initial_invertible_set(region, x, 1.0, 6, rng=0)
-        assert iset.system is not None
-        assert iset.with_values(np.arange(6.0)).system is iset.system
-        assert iset.replace_point(3, np.array([0.6, 0.7])).system is None
-        assert iset.with_geometry(x, 0.5).system is None
+        iset, cert, _ = po.improve_to_poised(None, region, x, 1.0, 6, 10.0, rng=0)
+        assert iset.system is not None and iset.cert is cert and cert.verified
+        valued = iset.with_values(np.arange(6.0))
+        assert valued.system is iset.system and valued.cert is cert
+        for moved in (iset.replace_point(3, np.array([0.6, 0.7])), iset.with_geometry(x, 0.5)):
+            assert moved.system is None and moved.cert is None
 
     @pytest.mark.parametrize("region,x,lam,swapping", [
         # Thin boxes: axis points with too little room are swapped.

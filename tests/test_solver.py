@@ -800,11 +800,11 @@ class TestLeastChange:
         problem = get_problem("quad2d")
         config = SolverConfig(npoints=6, max_evals=120, seed=3, poisedness=2.0,
                               model_kind="linear-regression")
-        runs = []
+        runs, fit = [], sv._least_change_fit
         for drop in (False, True):
             if drop:
                 monkeypatch.setattr(sv, "_least_change_fit",
-                                    lambda iset, kind, prior: sv._build_model(iset, kind))
+                                    lambda iset, kind, prior: fit(iset, kind, None))
             f, points = recording(problem.f)
             _, record = solve(f, problem.region, problem.x0, config)
             runs.append((record.csv_text(), np.array(points)))
