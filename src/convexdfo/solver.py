@@ -1,24 +1,35 @@
 """Derivative-free trust-region driver over a convex feasible region.
 
 Each iteration builds an interpolation model on the current point set,
-measures model criticality, and either (a) repairs the sample geometry when
-the model looks critical but cannot be trusted at the current radius, first
-cutting the radius to ``mu * pi_m``, or (b) takes a trust-region step and
-accepts or rejects it by the actual-versus-predicted reduction ratio.  A
-criticality row's radius lands on ``mu * pi_m`` (``delta_min`` where that is
-larger) at once and never grows: a fully linear row cuts at least one
-``gamma_dec`` step, and an uncertified row keeps ``delta`` where
-``mu * pi_m >= delta``.  A fully linear set is kept through a one-step cut,
-as at an unsuccessful row; every other criticality row rebuilds its set at
-the new radius, so an uncertified set is built once, where a certified
-row's cut would land.  The next row is critical on a fully linear set only
-where ``mu * pi_m`` is below the new ``delta``, so while ``pi_m`` holds a
-phase costs at most one rebuild: after a landing on ``mu * pi_m`` the phase
-ends, and after one on ``delta_min`` the next cut ends the run.  A phase
-that starts on an uncertified set can rebuild twice: where the repaired
-set's model has a lower ``pi_m``, the certified row after the repair cuts
-and rebuilds again.  A step with ratio ``rho >= eta`` is accepted; a very
-successful one (``rho >= _VERY_SUCCESSFUL`` = 0.7) grows ``delta`` to
+measures model criticality ``pi_m``, and either (a) takes a criticality
+step, when the model is fully linear with ``pi_m < eps_criticality`` and
+``mu * pi_m < delta``, or (b) takes a trust-region step and accepts or
+rejects it by the actual-versus-predicted reduction ratio.  An uncertified
+model takes its step whatever ``pi_m`` is: a model is tested by its step
+before evaluations go to its geometry, as in BOBYQA and DFO-LS.  Where that
+step fails, or there is no trial, the row is model-improving and repairs
+its set; where ``pi_m < eps_criticality`` it first cuts ``delta`` to
+``min(delta, max(mu * pi_m, delta_min))`` and rebuilds the set there,
+where a fully linear row's cut would land.  So ``delta`` shrinks only on a
+fully linear row, after a failed step, or on a row with no trial.  This
+order departs from Conn, Scheinberg and Vicente's Algorithm 10.1, whose
+criticality step comes first on every model with a small ``pi_m``: their
+argument that ``delta -> 0`` as ``pi_m -> 0`` does not cover a successful
+step from an uncertified model with ``pi_m < eps_criticality``.
+
+A criticality row's radius lands on ``mu * pi_m`` (``delta_min`` where that
+is larger) at once, at least one ``gamma_dec`` step down.  Its set is kept
+through a one-step cut, as at an unsuccessful row, and otherwise rebuilt at
+the new radius.  The next row is critical only where ``mu * pi_m`` is below
+the new ``delta``, so while ``pi_m`` holds a phase costs at most one
+rebuild: after a landing on ``mu * pi_m`` the phase ends, and after one on
+``delta_min`` the next cut ends the run.  A model-improving row that cuts
+can be followed by a criticality row that rebuilds again, where the
+repaired set's model has a lower ``pi_m``.  A step with ratio
+``rho >= eta`` is accepted unless its trial lies within
+``1e-13 * (1 + ||trial||)`` of a set point, where it would leave ``x`` and
+the set as they are and so counts as failed; a very successful one
+(``rho >= _VERY_SUCCESSFUL`` = 0.7) grows ``delta`` to
 ``gamma_inc * ||s||`` when that is larger, never past ``delta_max``, and
 any other accepted step leaves ``delta`` as it is.  Model accuracy ("fully
 linear" here) is operationalized as the poisedness certificate on the point
@@ -26,18 +37,17 @@ set's own sampling radius ``r`` (``InterpolationSet.radius``): the set is
 poised at the configured level on the feasible part of B(x, min(r, 1)),
 with every point inside that ball.  A set is kept with
 ``delta <= r <= delta / gamma_dec``: an unsuccessful step, and a one-step
-criticality cut of a fully linear model, cut ``delta`` but leave in place a
-set whose ``r`` was ``delta`` before the cut, and after a move of the
-iterate the set, recentred on the new iterate, keeps the smallest such
-``r`` that holds all its points (by the certificate's own ball test).
-Steps swap in only the trial point; a criticality row that keeps its set
-swaps in nothing and spends no evaluation.  At any other cut, after a
-move whose set fits no such ``r``, and after a criticality row that
-rebuilds, certified or not, ``r`` becomes ``delta``.  So ``r`` is always
-within one cut of ``delta``, and the accuracy constants of a set poised on
-B(x, r) (errors ``kappa_ef * r^2`` and ``kappa_eg * r``) give a model
-fully linear on B(x, delta) with ``kappa_ef / gamma_dec^2`` and
-``kappa_eg / gamma_dec``.
+criticality cut, cut ``delta`` but leave in place a set whose ``r`` was
+``delta`` before the cut, and after a move of the iterate the set,
+recentred on the new iterate, keeps the smallest such ``r`` that holds all
+its points (by the certificate's own ball test).  Steps swap in only the
+trial point; a criticality row that keeps its set swaps in nothing and
+spends no evaluation.  At any other cut, after a move whose set fits no
+such ``r``, and after a row that rebuilds at a cut, ``r`` becomes
+``delta``.  So ``r`` is always within one cut of ``delta``, and the
+accuracy constants of a set poised on B(x, r) (errors ``kappa_ef * r^2``
+and ``kappa_eg * r``) give a model fully linear on B(x, delta) with
+``kappa_ef / gamma_dec^2`` and ``kappa_eg / gamma_dec``.
 
 The iterate is the lowest point of its set, as BOBYQA's and DFO-LS's
 ``x_opt`` is.  Every row that does not follow a criticality row starts by
@@ -161,11 +171,13 @@ class SolverConfig:
     ``npoints`` defaults to 2n+1 (capped to the admissible range) at solve
     time.  ``poisedness`` is the geometry level Lambda > 1 used both to
     certify and to repair point sets, on the Lagrange polynomials of the
-    model kind.  ``eps_criticality`` and ``mu`` gate the criticality step,
-    and ``mu * pi_m`` is also the radius that step cuts the trust region
-    to in one cut, stopping at ``delta_min``: a fully linear model's by at
-    least one ``gamma_dec`` step, an uncertified model's only where
-    ``mu * pi_m < delta``, before its set is rebuilt; ``eta`` is the
+    model kind.  ``eps_criticality`` and ``mu`` gate the criticality step
+    of a fully linear model, and ``mu * pi_m`` is also the radius that
+    step cuts the trust region to in one cut, by at least one
+    ``gamma_dec`` step and stopping at ``delta_min``.  An uncertified
+    model with ``pi_m < eps_criticality`` takes its trust-region step;
+    only where that fails is ``delta`` cut to ``mu * pi_m``, where that
+    is below ``delta``, before the set is rebuilt.  ``eta`` is the
     acceptance threshold.  A very successful step (ratio at least 0.7)
     sets ``delta`` to ``min(max(delta, gamma_inc * ||s||), delta_max)``;
     any other accepted step keeps ``delta``.  With ``eta >= 0.7`` every
@@ -334,27 +346,32 @@ def _with_values(oracle, new, old, x, fx):
 
 
 def _criticality_radius(delta, pi_m, mu, gamma_dec, delta_min, certified):
-    """Radius after a criticality row: ``mu * pi_m``, clamped.
+    """Radius after a critical row: ``mu * pi_m``, clamped.
 
     The radius lands on ``mu * pi_m``, or on ``delta_min`` where that is
-    larger, in one cut.  A certified (fully linear) row cuts at least one
-    ``gamma_dec`` step; an uncertified row never grows ``delta`` and keeps
-    it where ``mu * pi_m >= delta``, so its repair builds the set at the
-    radius where a certified row's deeper cut would land.  So ``pi_m = 0`` sends ``delta``
-    to ``delta_min``, not to 0, and the run ends only if the model there
-    again gives ``mu * pi_m < delta_min``.
+    larger, in one cut.  A certified (fully linear) criticality row cuts at
+    least one ``gamma_dec`` step.  An uncertified row is cut only after its
+    step fails: it never grows ``delta`` and keeps it where
+    ``mu * pi_m >= delta``, so its repair builds the set at the radius
+    where a certified row's deeper cut would land.  So ``pi_m = 0`` sends
+    ``delta`` to ``delta_min``, not to 0, and the run ends only if the
+    model there again gives ``mu * pi_m < delta_min``.
     """
     return min(gamma_dec * delta if certified else delta, max(mu * pi_m, delta_min))
 
 
+def _duplicates(points, y):
+    """Whether ``y`` is within ``1e-13 * (1 + ||y||)`` of one of ``points``."""
+    gap = np.linalg.norm(points - y, axis=1)
+    return gap.size > 0 and float(np.min(gap)) <= 1e-13 * (1.0 + float(np.linalg.norm(y)))
+
+
 def _swap_farthest(iset, center, trial, f_trial):
-    """Replace the point farthest from ``center`` by the trial point."""
-    dists = np.linalg.norm(iset.points - center, axis=1)
-    far = int(np.argmax(dists))
-    others = np.delete(np.arange(iset.npoints), far)
-    gap = np.linalg.norm(iset.points[others] - trial, axis=1)
-    if gap.size and float(np.min(gap)) <= 1e-13 * (1.0 + float(np.linalg.norm(trial))):
-        return iset  # would duplicate an existing point
+    """Replace the point farthest from ``center`` by the trial point, unless
+    the trial duplicates one of the others."""
+    far = int(np.argmax(np.linalg.norm(iset.points - center, axis=1)))
+    if _duplicates(np.delete(iset.points, far, axis=0), trial):
+        return iset
     return iset.replace_point(far, trial, f_trial)
 
 
@@ -492,15 +509,14 @@ def solve(f, region, x0, config=None):
                 iset = replace(iset, cert=check_poisedness(iset.system, region, lam, rng=rng))
             fully_linear = bool(iset.cert.verified)
 
-            if pi_m < config.eps_criticality and (
-                pi_m < delta / config.mu or not fully_linear
-            ):
+            critical = pi_m < config.eps_criticality
+            if fully_linear and critical and pi_m < delta / config.mu:
                 delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec,
-                                            config.delta_min, fully_linear)
-                # A fully linear set keeps its radius through one cut; any
-                # other set is rebuilt at the new delta.  Below delta_min the
-                # run ends with this set.
-                kept = fully_linear and config.gamma_dec * iset.radius <= delta <= iset.radius
+                                            config.delta_min, True)
+                # The set keeps its radius through one cut; otherwise it is
+                # rebuilt at the new delta.  Below delta_min the run ends
+                # with this set.
+                kept = config.gamma_dec * iset.radius <= delta <= iset.radius
                 if not kept and delta >= config.delta_min:
                     iset = repair(iset, delta)
                 record.rows.append(IterationRow(
@@ -518,7 +534,9 @@ def solve(f, region, x0, config=None):
                 trial, f_trial, rho = None, None, None
                 record.notes.append(f"iteration {k}: nonpositive predicted reduction")
 
-            if rho is not None and rho >= config.eta:
+            # A trial that duplicates a set point would leave x and the set
+            # as they are, so it counts as a failed step.
+            if rho is not None and rho >= config.eta and not _duplicates(iset.points, trial):
                 step_kind = "successful"
                 # Delta never shrinks here; a very successful step grows it as
                 # far as gamma_inc * ||s||.  Swapped into the set, the trial
@@ -529,7 +547,12 @@ def solve(f, region, x0, config=None):
                 iset = _swap_farthest(iset, trial, trial, f_trial)
             elif not fully_linear:
                 step_kind = "model-improving"
-                iset = repair(iset, iset.radius)
+                # A model that looks critical is repaired where a fully
+                # linear row's cut would land.
+                if critical:
+                    delta = _criticality_radius(delta, pi_m, config.mu, config.gamma_dec,
+                                                config.delta_min, False)
+                iset = repair(iset, delta if critical else iset.radius)
             else:
                 step_kind = "unsuccessful"
                 delta = config.gamma_dec * delta

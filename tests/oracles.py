@@ -43,19 +43,21 @@ def check_radius_discipline(record, config, evaluated, values=None, sets=None):
     - successful, rho >= 0.7: delta grows to gamma_inc * ||s|| when that is
       larger, never past delta_max;
     - successful, eta <= rho < 0.7: delta stays;
+    - successful, either way: the next row's iterate is not the row's, so
+      no success leaves x (and the set it is the lowest point of) as it is;
     - unsuccessful: one gamma_dec cut;
-    - model-improving: stays;
-    - criticality without a certified model: straight to
+    - model-improving with pi_m < eps_criticality: straight to
       min(delta, max(mu * pi_m, delta_min)), so delta stays where
-      mu * pi_m >= delta.  Given ``sets``, the next row models a set built
-      at that radius;
-    - criticality with a fully linear model: one cut straight to
-      min(gamma_dec * delta, max(mu * pi_m, delta_min)).  Where that cut is
-      at least delta_min, the row spends no evaluation only when it keeps
-      its set, and it keeps its set only through a one-step cut.  Given
-      ``sets``, the set each row modelled by row ``k``, a row keeps its set
-      exactly when the cut is within one cut of the set's radius, and the
-      next row models that same set;
+      mu * pi_m >= delta.  Given ``sets``, a next row that keeps the
+      iterate models a set built at that radius;
+    - any other model-improving row: stays;
+    - criticality: the model is fully linear, and the row cuts once,
+      straight to min(gamma_dec * delta, max(mu * pi_m, delta_min)).
+      Where that cut is at least delta_min, the row spends no evaluation
+      only when it keeps its set, and it keeps its set only through a
+      one-step cut.  Given ``sets``, the set each row modelled by row
+      ``k``, a row keeps its set exactly when the cut is within one cut of
+      the set's radius, and the next row models that same set;
     - a move: the iterate of a row goes to a lower point of its set that is
       not the last row's successful trial (or, at the first row, is not the
       start).  It never follows a criticality row, whose next row keeps its
@@ -63,10 +65,11 @@ def check_radius_discipline(record, config, evaluated, values=None, sets=None):
 
     Returns a Counter of the branches seen: ``held`` (middle-band successes
     whose step would have grown delta, where the 0.7 threshold shows),
-    ``mu_pi_m`` and ``delta_min`` (fully linear criticality cuts deeper
-    than one step that land there), ``kept`` (criticality rows that kept
-    their set), ``uncertified_cut`` (uncertified criticality rows that
-    cut delta) and ``moved`` (the moves above, the first row's included).
+    ``mu_pi_m`` and ``delta_min`` (criticality cuts deeper than one step
+    that land there), ``kept`` (criticality rows that kept their set),
+    ``uncertified_cut`` (model-improving rows with pi_m < eps_criticality
+    that cut delta) and ``moved`` (the moves above, the first row's
+    included).
     """
     seen = Counter()
     iterates = row_iterates(record, evaluated, values, sets)
@@ -84,19 +87,21 @@ def check_radius_discipline(record, config, evaluated, values=None, sets=None):
                 np.testing.assert_array_equal(x_next, x)
                 assert nxt.f == row.f
             elif row.step_kind == "successful":
+                assert not np.array_equal(x_next, x)
                 seen["moved"] += not np.array_equal(x_next, evaluated[row.evals - 1])
             else:
                 seen["moved"] += not np.array_equal(x_next, x)
+        target = max(config.mu * row.pi_m, config.delta_min)
+        if row.step_kind == "model-improving" and row.pi_m < config.eps_criticality:
+            cut = min(delta, target)
+            seen["uncertified_cut"] += cut < delta
+            if nxt is not None:
+                assert nxt.delta == cut
+                if sets is not None and np.array_equal(iterates[nxt.k], iterates[row.k]):
+                    assert sets[nxt.k].radius == cut
+            continue
         if row.step_kind == "criticality":
-            target = max(config.mu * row.pi_m, config.delta_min)
-            if not row.fully_linear:
-                cut = min(delta, target)
-                seen["uncertified_cut"] += cut < delta
-                if nxt is not None:
-                    assert nxt.delta == cut
-                    if sets is not None:
-                        assert sets[nxt.k].radius == cut
-                continue
+            assert row.fully_linear
             cut = min(config.gamma_dec * delta, target)
             if nxt is not None:
                 assert nxt.delta == cut

@@ -410,9 +410,10 @@ def test_criterion_9_end_to_end_solves():
     assert branches["held"]
     seen += branches
     results.append(f"rosenbrock2d pi_f={pi_f:.1e} evals={len(evaluated)} {elapsed:.1f}s")
-    # Uncertified criticality rows cut delta; fully linear cuts land on
-    # mu * pi_m and on delta_min, a fully linear set is kept through a
-    # one-step cut, and the iterate moves onto a lower point of its set.
+    # Every criticality row is fully linear, and its cuts land on mu * pi_m
+    # and on delta_min, and keep a set through a one-step cut; model-improving
+    # rows on uncertified sets with pi_m < eps_criticality cut delta; and the
+    # iterate moves onto a lower point of its set.
     assert (seen["mu_pi_m"] and seen["delta_min"] and seen["kept"]
             and seen["uncertified_cut"] and seen["moved"]), dict(seen)
 

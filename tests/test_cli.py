@@ -135,18 +135,18 @@ class TestCliSolve:
     def test_final_model_is_the_solvers(self, tmp_path, capsys, model):
         # final_model.json is the solver's final model: it fits final_set's
         # values, and its H is the one the least-change fit produced.
-        # 30 evaluations bind for both model kinds: quad2d spends them all.
-        main(["solve", "--problem", "quad2d", "--model", model, "--max-evals", "30",
+        # 25 evaluations bind for both model kinds: quad2d spends them all.
+        main(["solve", "--problem", "quad2d", "--model", model, "--max-evals", "25",
               "--seed", "0", "--out", str(tmp_path)])
         out = capsys.readouterr().out
-        assert "status=budget " in out and "evals=30 " in out
+        assert "status=budget " in out and "evals=25 " in out
         iset = serialize.load_set(tmp_path / "final_set.json")
         data = json.loads((tmp_path / "final_model.json").read_text())
         saved = serialize.model_from_dict(data)
         problem = get_problem("quad2d")
         kind = {"mfn": "mfn-quadratic", "linreg": "linear-regression"}[model]
         _, record = solve(problem.f, problem.region, problem.x0,
-                          SolverConfig(model_kind=kind, max_evals=30, seed=0))
+                          SolverConfig(model_kind=kind, max_evals=25, seed=0))
         assert record.status == "budget"
         if model == "mfn":
             np.testing.assert_allclose(saved.values(iset.points), iset.values,
